@@ -423,11 +423,7 @@ impl Packet {
                 w.u8(*regs_out);
                 w.u8(*active);
                 w.len(values.len());
-                for reg in values {
-                    for lane in reg {
-                        w.u64(*lane);
-                    }
-                }
+                w.u64s(values.as_flattened());
             }
         }
     }
@@ -510,15 +506,8 @@ impl Packet {
                 let oid = id(r)?;
                 let regs_out = r.u8()?;
                 let active = r.u8()?;
-                let n = r.len()?;
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut reg = [0u64; 32];
-                    for lane in &mut reg {
-                        *lane = r.u64()?;
-                    }
-                    values.push(reg);
-                }
+                let mut values = vec![[0u64; 32]; r.len()?];
+                r.u64s(values.as_flattened_mut())?;
                 PacketKind::OffloadAck {
                     token,
                     id: oid,

@@ -37,9 +37,10 @@ impl fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// FNV-1a 64-bit content hash — the checkpoint checksum and the
-/// config/kernel fingerprint function. Not cryptographic; it guards
-/// against truncation, bit rot, and mismatched inputs, not adversaries.
+/// FNV-1a 64-bit content hash — the config/kernel fingerprint function.
+/// Not cryptographic; it guards against mismatched inputs, not
+/// adversaries. Byte-at-a-time, so it is meant for short inputs; bulk
+/// payloads use [`checksum64`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -47,6 +48,57 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Word-wise 64-bit payload checksum — the checkpoint payload checksum.
+///
+/// Four independent lanes each absorb every fourth little-endian `u64`
+/// word as `lane = ((lane ^ word) * odd).rotate_left(29)`; the lanes, the
+/// remaining whole words, the zero-padded byte tail and the length are then
+/// folded into one value with the same step. Every step is a bijection of
+/// the running state for a fixed input word and of the word for a fixed
+/// state, so any change confined to a single word (in particular any
+/// single-bit flip) always changes the result; the folded length tells
+/// inputs apart that differ only by trailing zero bytes. Like [`fnv1a`] it
+/// guards against bit rot and truncation, not adversaries — but it runs a
+/// word per step on independent dependency chains instead of a byte per
+/// step on one.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    const ODD: [u64; 4] = [
+        0x9e37_79b9_7f4a_7c15,
+        0xc2b2_ae3d_27d4_eb4f,
+        0x1656_67b1_9e37_79f9,
+        0xd6e8_feb8_6659_fd93,
+    ];
+    fn step(state: u64, word: u64, odd: u64) -> u64 {
+        (state ^ word).wrapping_mul(odd).rotate_left(29)
+    }
+    fn word(b: &[u8]) -> u64 {
+        u64::from_le_bytes(b.try_into().expect("8-byte chunk"))
+    }
+    let mut lanes = [1u64, 2, 3, 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for b in &mut blocks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = step(*lane, word(&b[8 * i..8 * i + 8]), ODD[i]);
+        }
+    }
+    let mut h = step(0, bytes.len() as u64, ODD[0]);
+    for lane in lanes {
+        h = step(h, lane, ODD[1]);
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = step(h, word(w), ODD[2]);
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = step(h, u64::from_le_bytes(tail), ODD[3]);
+    // Final avalanche (xorshift-multiply, itself a bijection) so nearby
+    // inputs do not leave nearby sums.
+    h ^= h >> 32;
+    h = h.wrapping_mul(ODD[0]);
+    h ^ (h >> 29)
 }
 
 /// Append-only little-endian encoder.
@@ -74,6 +126,16 @@ impl SnapWriter {
 
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// A run of `u64`s, byte-identical to one [`SnapWriter::u64`] call per
+    /// element (no length prefix — pair it with [`SnapWriter::len`] when
+    /// the count is not fixed by the reader's shape).
+    pub fn u64s(&mut self, vs: &[u64]) {
+        self.buf.reserve(vs.len() * 8);
+        for v in vs {
+            self.buf.extend_from_slice(&v.to_le_bytes());
+        }
     }
 
     pub fn usize(&mut self, v: usize) {
@@ -167,6 +229,17 @@ impl<'a> SnapReader<'a> {
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
+    }
+
+    /// Fill `out` from a run written by [`SnapWriter::u64s`] (or by one
+    /// `u64` call per element). A stream too short for the whole run fails
+    /// before anything is decoded.
+    pub fn u64s(&mut self, out: &mut [u64]) -> Result<(), SnapError> {
+        let b = self.take(out.len() * 8, "u64 run")?;
+        for (v, c) in out.iter_mut().zip(b.chunks_exact(8)) {
+            *v = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+        }
+        Ok(())
     }
 
     pub fn usize(&mut self) -> Result<usize, SnapError> {
@@ -316,6 +389,62 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         r.u8().unwrap();
         assert!(r.finish().unwrap_err().0.contains("trailing"));
+    }
+
+    #[test]
+    fn u64_runs_match_per_element_writes() {
+        let vs = [0, 1, u64::MAX, 0x0123_4567_89ab_cdef, 42];
+        let mut bulk = SnapWriter::new();
+        bulk.u64s(&vs);
+        let mut each = SnapWriter::new();
+        for v in vs {
+            each.u64(v);
+        }
+        let bytes = bulk.into_bytes();
+        assert_eq!(bytes, each.into_bytes());
+        let mut out = [0u64; 5];
+        let mut r = SnapReader::new(&bytes);
+        r.u64s(&mut out).unwrap();
+        r.finish().unwrap();
+        assert_eq!(out, vs);
+    }
+
+    #[test]
+    fn truncated_u64_run_names_the_offset() {
+        let mut w = SnapWriter::new();
+        w.u8(0);
+        w.u64s(&[7; 4]);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes[..bytes.len() - 3]);
+        r.u8().unwrap();
+        let mut out = [0u64; 4];
+        let e = r.u64s(&mut out).unwrap_err();
+        assert!(e.0.contains("truncated") && e.0.contains("byte 1"), "{e}");
+        assert_eq!(out, [0; 4], "nothing decoded from a short run");
+    }
+
+    #[test]
+    fn checksum_catches_every_single_bit_flip() {
+        // 32-byte blocks, then two whole tail words, then a 5-byte tail.
+        let buf: Vec<u8> = (0..85u32).map(|i| (i * 37 + 11) as u8).collect();
+        assert_ne!(buf.len() % 32, 0);
+        let good = checksum64(&buf);
+        let mut v = buf.clone();
+        for byte in 0..v.len() {
+            for bit in 0..8 {
+                v[byte] ^= 1 << bit;
+                assert_ne!(checksum64(&v), good, "flip of bit {bit} in byte {byte}");
+                v[byte] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_folds_in_the_length() {
+        assert_ne!(checksum64(b"x"), checksum64(b"x\0"));
+        assert_ne!(checksum64(b""), checksum64(&[0u8; 8]));
+        assert_ne!(checksum64(&[0u8; 32]), checksum64(&[0u8; 64]));
+        assert_eq!(checksum64(b"stable"), checksum64(b"stable"));
     }
 
     #[test]

@@ -14,9 +14,13 @@
 //! kernel_fp    u64   FNV-1a of the compiled kernel (program + blocks)
 //! cycle        u64   simulated cycle the snapshot was taken at
 //! payload_len  u64   exact byte length of the payload that follows
-//! checksum     u64   FNV-1a of the payload bytes
+//! checksum     u64   checksum64 (word-wise) of the payload bytes
 //! payload      [u8]  section-tagged component state (System::snapshot)
 //! ```
+//!
+//! A snapshot is written straight into one buffer: [`writer`] reserves the
+//! header's bytes up front and [`seal`] patches them in place once the
+//! payload is complete, so the payload is never copied.
 //!
 //! Every rejection path — wrong magic, unknown schema, fingerprint
 //! mismatch, truncation, trailing bytes, checksum failure, or a decode
@@ -31,7 +35,7 @@ use std::path::{Path, PathBuf};
 use ndp_common::config::SystemConfig;
 use ndp_common::error::SimError;
 use ndp_common::ids::Cycle;
-use ndp_common::snap::{fnv1a, SnapReader, SnapWriter};
+use ndp_common::snap::{checksum64, fnv1a, SnapReader, SnapWriter};
 use ndp_compiler::CompiledKernel;
 
 /// File magic, read/written as a little-endian `u64`.
@@ -39,8 +43,10 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"NDPCKPT\0");
 
 /// Payload schema version. Bump whenever any component's `snap` layout
 /// changes; old files are then rejected with a `schema` check failure
-/// instead of being misdecoded.
-pub const SCHEMA_VERSION: u32 = 1;
+/// instead of being misdecoded. v2: the payload checksum became
+/// [`checksum64`] (v1 used FNV-1a), so a v1 file must fail on its schema,
+/// not as a checksum mismatch.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// File extension used for per-workload checkpoints when
 /// `NDP_CHECKPOINT_PATH` / `NDP_RESUME` name a directory.
@@ -82,6 +88,24 @@ pub fn kernel_fingerprint(kernel: &CompiledKernel) -> u64 {
     fnv1a(format!("{:?}|{:?}", kernel.program, kernel.blocks).as_bytes())
 }
 
+/// Both header fingerprints of one (config, kernel) pair. Rendering the
+/// config and program to compute them is not free, so a `System` takes
+/// them at most once and every save reuses them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fingerprints {
+    pub config: u64,
+    pub kernel: u64,
+}
+
+impl Fingerprints {
+    pub fn of(cfg: &SystemConfig, kernel: &CompiledKernel) -> Fingerprints {
+        Fingerprints {
+            config: config_fingerprint(cfg),
+            kernel: kernel_fingerprint(kernel),
+        }
+    }
+}
+
 impl Header {
     /// Serialize the header for `payload`.
     pub fn write(&self, w: &mut SnapWriter) {
@@ -95,7 +119,7 @@ impl Header {
     }
 
     /// Parse and structurally validate a header (magic and schema). The
-    /// fingerprint and checksum checks need the caller's config/kernel and
+    /// fingerprint and checksum checks need the caller's fingerprints and
     /// the payload, so they live in [`open`].
     pub fn read(r: &mut SnapReader<'_>) -> Result<Header, SimError> {
         let magic = r.u64().map_err(|e| bad("magic", e.0))?;
@@ -124,33 +148,27 @@ impl Header {
     }
 }
 
-/// Validate `bytes` as a checkpoint for exactly this (config, kernel)
-/// pair: magic, schema, both fingerprints, payload length, and checksum.
-/// Returns the header and the verified payload slice.
-pub fn open<'a>(
-    bytes: &'a [u8],
-    cfg: &SystemConfig,
-    kernel: &CompiledKernel,
-) -> Result<(Header, &'a [u8]), SimError> {
+/// Validate `bytes` as a checkpoint for exactly the (config, kernel) pair
+/// `fp` fingerprints: magic, schema, both fingerprints, payload length,
+/// and checksum. Returns the header and the verified payload slice.
+pub fn open(bytes: &[u8], fp: Fingerprints) -> Result<(Header, &[u8]), SimError> {
     let mut r = SnapReader::new(bytes);
     let header = Header::read(&mut r)?;
-    let want_cfg = config_fingerprint(cfg);
-    if header.config_fp != want_cfg {
+    if header.config_fp != fp.config {
         return Err(bad(
             "config",
             format!(
-                "checkpoint was taken under config {:#018x}, this run has {want_cfg:#018x}",
-                header.config_fp
+                "checkpoint was taken under config {:#018x}, this run has {:#018x}",
+                header.config_fp, fp.config
             ),
         ));
     }
-    let want_kernel = kernel_fingerprint(kernel);
-    if header.kernel_fp != want_kernel {
+    if header.kernel_fp != fp.kernel {
         return Err(bad(
             "kernel",
             format!(
-                "checkpoint was taken for kernel {:#018x}, this run compiles {want_kernel:#018x}",
-                header.kernel_fp
+                "checkpoint was taken for kernel {:#018x}, this run compiles {:#018x}",
+                header.kernel_fp, fp.kernel
             ),
         ));
     }
@@ -165,7 +183,7 @@ pub fn open<'a>(
             ),
         ));
     }
-    let sum = fnv1a(payload);
+    let sum = checksum64(payload);
     if sum != header.checksum {
         return Err(bad(
             "checksum",
@@ -178,26 +196,39 @@ pub fn open<'a>(
     Ok((header, payload))
 }
 
-/// Seal a payload into a complete checkpoint file image.
-pub fn seal(
-    cfg: &SystemConfig,
-    kernel: &CompiledKernel,
-    cycle: Cycle,
-    payload: Vec<u8>,
-) -> Vec<u8> {
+/// A writer for a checkpoint payload, with room for the header reserved
+/// at the front (a zeroed placeholder that [`seal`] overwrites).
+pub fn writer() -> SnapWriter {
     let mut w = SnapWriter::new();
     Header {
-        schema: SCHEMA_VERSION,
-        config_fp: config_fingerprint(cfg),
-        kernel_fp: kernel_fingerprint(kernel),
-        cycle,
-        payload_len: payload.len() as u64,
-        checksum: fnv1a(&payload),
+        schema: 0,
+        config_fp: 0,
+        kernel_fp: 0,
+        cycle: 0,
+        payload_len: 0,
+        checksum: 0,
     }
     .write(&mut w);
-    let mut out = w.into_bytes();
-    out.extend_from_slice(&payload);
-    out
+    w
+}
+
+/// Seal a payload written after [`writer`]'s reserved header into a
+/// complete checkpoint file image, patching the header in place.
+pub fn seal(fp: Fingerprints, cycle: Cycle, w: SnapWriter) -> Vec<u8> {
+    let mut image = w.into_bytes();
+    let payload = &image[HEADER_BYTES..];
+    let mut h = SnapWriter::new();
+    Header {
+        schema: SCHEMA_VERSION,
+        config_fp: fp.config,
+        kernel_fp: fp.kernel,
+        cycle,
+        payload_len: payload.len() as u64,
+        checksum: checksum64(payload),
+    }
+    .write(&mut h);
+    image[..HEADER_BYTES].copy_from_slice(&h.into_bytes());
+    image
 }
 
 /// Write `bytes` to `path` atomically: a dotted temp file in the same
@@ -256,8 +287,12 @@ impl AutoCheckpoint {
     /// Read the policy from the environment. `NDP_CHECKPOINT_EVERY` without
     /// a path is a fatal misconfiguration (matching the loud
     /// `parse_or_die` policy); a path without `EVERY` disables periodic
-    /// saves.
-    pub fn from_env(workload: &str, config_fp: u64, now: Cycle) -> Option<AutoCheckpoint> {
+    /// saves. `config_fp` is called only when saves are armed.
+    pub fn from_env(
+        workload: &str,
+        now: Cycle,
+        config_fp: impl FnOnce() -> u64,
+    ) -> Option<AutoCheckpoint> {
         let every = ndp_common::env::parse_or_die::<u64>("NDP_CHECKPOINT_EVERY").unwrap_or(0);
         if every == 0 {
             return None;
@@ -267,7 +302,7 @@ impl AutoCheckpoint {
         };
         Some(AutoCheckpoint {
             every,
-            path: file_for(Path::new(&path), workload, config_fp),
+            path: file_for(Path::new(&path), workload, config_fp()),
             // Resumed runs pick up the cadence mid-stream instead of
             // re-saving at cycles the interrupted run already covered.
             next_at: (now / every + 1) * every,
@@ -288,12 +323,13 @@ impl AutoCheckpoint {
 /// Resolve `NDP_RESUME` for one (workload, config) cell: `None` when
 /// unset, or when it names a directory with no checkpoint for this cell
 /// (that run starts fresh — the sweep form resumes whichever cells were
-/// interrupted).
-pub fn resume_path(workload: &str, config_fp: u64) -> Option<PathBuf> {
+/// interrupted). The config is fingerprinted only in the directory form,
+/// so a run with `NDP_RESUME` unset pays nothing.
+pub fn resume_path(workload: &str, cfg: &SystemConfig) -> Option<PathBuf> {
     let raw = ndp_common::env::string("NDP_RESUME")?;
     let path = Path::new(&raw);
     if path.is_dir() {
-        let f = file_for(path, workload, config_fp);
+        let f = file_for(path, workload, config_fingerprint(cfg));
         f.exists().then_some(f)
     } else {
         Some(path.to_path_buf())
@@ -310,12 +346,21 @@ mod tests {
         (SystemConfig::baseline(), k)
     }
 
+    fn sealed(fp: Fingerprints, cycle: Cycle, payload: &[u8]) -> Vec<u8> {
+        let mut w = writer();
+        for &b in payload {
+            w.u8(b);
+        }
+        seal(fp, cycle, w)
+    }
+
     #[test]
     fn seal_then_open_round_trips() {
         let (cfg, k) = cfg_and_kernel();
-        let bytes = seal(&cfg, &k, 512, vec![1, 2, 3, 4]);
+        let fp = Fingerprints::of(&cfg, &k);
+        let bytes = sealed(fp, 512, &[1, 2, 3, 4]);
         assert_eq!(bytes.len(), HEADER_BYTES + 4);
-        let (h, payload) = open(&bytes, &cfg, &k).expect("valid checkpoint");
+        let (h, payload) = open(&bytes, fp).expect("valid checkpoint");
         assert_eq!(h.cycle, 512);
         assert_eq!(payload, &[1, 2, 3, 4]);
     }
@@ -323,8 +368,9 @@ mod tests {
     #[test]
     fn open_rejects_garbage_and_mismatches() {
         let (cfg, k) = cfg_and_kernel();
+        let fp = Fingerprints::of(&cfg, &k);
         let check = |bytes: &[u8], want: &str| {
-            match open(bytes, &cfg, &k) {
+            match open(bytes, fp) {
                 Err(SimError::BadCheckpoint { check, .. }) => assert_eq!(check, want),
                 other => panic!("expected BadCheckpoint[{want}], got {other:?}"),
             };
@@ -332,7 +378,7 @@ mod tests {
         check(b"not a checkpoint at all....", "magic");
         check(&[], "magic");
 
-        let good = seal(&cfg, &k, 0, vec![9; 32]);
+        let good = sealed(fp, 0, &[9; 32]);
         let mut v = good.clone();
         v[8] ^= 0xff; // schema field
         check(&v, "schema");
@@ -355,7 +401,7 @@ mod tests {
         // A different config is rejected by fingerprint.
         let mut other = cfg.clone();
         other.gpu.num_sms += 1;
-        match open(&good, &other, &k) {
+        match open(&good, Fingerprints::of(&other, &k)) {
             Err(SimError::BadCheckpoint { check, .. }) => assert_eq!(check, "config"),
             other => panic!("expected BadCheckpoint[config], got {other:?}"),
         }

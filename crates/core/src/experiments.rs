@@ -25,7 +25,7 @@ pub fn run_workload(w: Workload, cfg: SystemConfig, scale: &Scale, max_cycles: u
     // `NDP_RESUME` continues an interrupted run from its checkpoint
     // instead of starting fresh; fingerprint checks guarantee the file
     // matches this exact (workload, config) cell.
-    let sys = match checkpoint::resume_path(w.name(), checkpoint::config_fingerprint(&cfg)) {
+    let sys = match checkpoint::resume_path(w.name(), &cfg) {
         Some(path) => {
             let kernel = Arc::new(compile(&program, &CompilerConfig::default()));
             match System::restore_from_file(cfg.clone(), kernel, &path) {

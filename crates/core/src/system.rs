@@ -2,7 +2,7 @@
 
 use std::fs;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ndp_common::config::{OffloadPolicy, SystemConfig};
 use ndp_common::error::{PacketSummary, SimError};
@@ -15,7 +15,7 @@ use ndp_common::obs::perf::{Perf, PerfConfig, StageOutcome};
 use ndp_common::obs::{Obs, ObsConfig};
 use ndp_common::packet::{Packet, PacketKind};
 use ndp_common::port::{Component, Edge, Fabric, FabricCtx, Op, Stage};
-use ndp_common::snap::{SnapError, SnapReader, SnapWriter};
+use ndp_common::snap::{SnapError, SnapReader};
 use ndp_common::watchdog::{
     CreditBalance, QueueDepth, StallReport, Watchdog, DEFAULT_WATCHDOG_CYCLES,
 };
@@ -53,6 +53,12 @@ const SEC_OBS: u16 = 0x1b;
 pub struct System {
     pub cfg: SystemConfig,
     pub kernel: Arc<CompiledKernel>,
+    /// Checkpoint-header fingerprints of (`cfg`, `kernel`), computed at
+    /// most once per machine and reused by every save. Lazy, because
+    /// construction is on the set-up path of every run and most runs never
+    /// save; a restored machine starts with the ones its image was checked
+    /// against.
+    fp: OnceLock<checkpoint::Fingerprints>,
     sms: Vec<Sm>,
     slices: Vec<L2Slice>,
     /// GPU→HMC links (up) and HMC→GPU links (down), one pair per stack.
@@ -159,6 +165,16 @@ impl System {
         cfg: SystemConfig,
         kernel: Arc<CompiledKernel>,
     ) -> Result<Self, SimError> {
+        Self::construct(cfg, kernel, OnceLock::new())
+    }
+
+    /// [`System::try_with_kernel`], with the fingerprint cache seeded by
+    /// the caller (empty, or the fingerprints an image was checked against).
+    fn construct(
+        cfg: SystemConfig,
+        kernel: Arc<CompiledKernel>,
+        fp: OnceLock<checkpoint::Fingerprints>,
+    ) -> Result<Self, SimError> {
         Self::verify_static(&cfg, &kernel)?;
         let ndp_on = cfg.offload != OffloadPolicy::Never;
         let blocks = Arc::new(kernel.blocks.clone());
@@ -214,6 +230,7 @@ impl System {
         Ok(System {
             cfg,
             kernel,
+            fp,
             sms,
             slices,
             up,
@@ -429,11 +446,10 @@ impl System {
     /// watchdog, which aborts the run early with a structured
     /// [`StallReport`] instead of spinning silently to the cycle cap.
     fn run_inner(&mut self, max_cycles: u64) -> Result<Outcome, SimError> {
-        let mut auto = checkpoint::AutoCheckpoint::from_env(
-            self.kernel.program.name,
-            checkpoint::config_fingerprint(&self.cfg),
-            self.now,
-        );
+        let mut auto =
+            checkpoint::AutoCheckpoint::from_env(self.kernel.program.name, self.now, || {
+                self.fingerprints().config
+            });
         let stall_dump = ndp_common::env::string("NDP_STALL_DUMP");
         let mut out = Outcome {
             timed_out: true,
@@ -808,7 +824,7 @@ impl System {
     /// which are host-side diagnostics that never influence simulated
     /// state.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
+        let mut w = checkpoint::writer();
         w.tag(SEC_CLOCK);
         w.u64(self.now);
         w.bool(self.skip);
@@ -860,7 +876,7 @@ impl System {
         }
         w.tag(SEC_OBS);
         self.obs.snap(&mut w);
-        checkpoint::seal(&self.cfg, &self.kernel, self.now, w.into_bytes())
+        checkpoint::seal(self.fingerprints(), self.now, w)
     }
 
     /// Rebuild a system from a checkpoint image taken by
@@ -878,8 +894,9 @@ impl System {
         kernel: Arc<CompiledKernel>,
         bytes: &[u8],
     ) -> Result<System, SimError> {
-        let (header, payload) = checkpoint::open(bytes, &cfg, &kernel)?;
-        let mut sys = System::try_with_kernel(cfg, kernel)?;
+        let fp = checkpoint::Fingerprints::of(&cfg, &kernel);
+        let (header, payload) = checkpoint::open(bytes, fp)?;
+        let mut sys = System::construct(cfg, kernel, OnceLock::from(fp))?;
         let mut r = SnapReader::new(payload);
         sys.restore_payload(&mut r)
             .and_then(|()| r.finish())
@@ -894,6 +911,12 @@ impl System {
             ));
         }
         Ok(sys)
+    }
+
+    fn fingerprints(&self) -> checkpoint::Fingerprints {
+        *self
+            .fp
+            .get_or_init(|| checkpoint::Fingerprints::of(&self.cfg, &self.kernel))
     }
 
     /// Overwrite the freshly constructed machine from a verified payload.

@@ -130,7 +130,9 @@ enum WState {
 struct WarpSlot {
     exec: WarpExec,
     cta: u32,
-    reg_ready: [Cycle; 64],
+    /// Scoreboard: the cycle each register's value is ready, one entry per
+    /// register of `exec`'s program-sized register file.
+    reg_ready: Vec<Cycle>,
     state: WState,
     ofl: Option<OflCtx>,
     /// Block the warp is currently passing through *without* offloading
@@ -310,9 +312,7 @@ impl Sm {
             let Some(slot) = s else { continue };
             slot.exec.snap(w);
             w.u32(slot.cta);
-            for c in &slot.reg_ready {
-                w.u64(*c);
-            }
+            w.u64s(&slot.reg_ready);
             w.u8(match slot.state {
                 WState::Ready => 0,
                 WState::Barrier => 1,
@@ -423,10 +423,8 @@ impl Sm {
             let mut exec = WarpExec::new(&self.kernel.program, 0, 0, self.seed);
             exec.restore(r)?;
             let cta = r.u32()?;
-            let mut reg_ready = [0u64; 64];
-            for c in reg_ready.iter_mut() {
-                *c = r.u64()?;
-            }
+            let mut reg_ready = vec![0; exec.num_regs()];
+            r.u64s(&mut reg_ready)?;
             let state = match r.u8()? {
                 0 => WState::Ready,
                 1 => WState::Barrier,
@@ -855,10 +853,11 @@ impl Sm {
                 };
                 *self.cta_alive.entry(cta).or_insert(0) += 1;
                 self.incarnation[i] += 1;
+                let exec = WarpExec::new(&self.kernel.program, wg, active, self.seed);
                 self.slots[i] = Some(WarpSlot {
-                    exec: WarpExec::new(&self.kernel.program, wg, active, self.seed),
+                    reg_ready: vec![0; exec.num_regs()],
+                    exec,
                     cta,
-                    reg_ready: [0; 64],
                     state: WState::Ready,
                     ofl: None,
                     local_block: None,

@@ -121,9 +121,14 @@ pub struct WarpExec {
 }
 
 impl WarpExec {
+    /// A warp at the program's entry. The register file holds exactly the
+    /// registers the program names (1 + the highest one any instruction
+    /// reads or writes), not the ISA's 64: the lane values dominate a
+    /// checkpoint image, and no instruction can reach a register beyond.
     pub fn new(program: &Program, warp_global: u32, active: u32, seed: u64) -> Self {
         let mut match_end = vec![usize::MAX; program.items.len()];
         let mut stack = vec![];
+        let mut nregs = 0;
         for (i, item) in program.items.iter().enumerate() {
             match item {
                 Item::LoopBegin(_) => stack.push(i),
@@ -131,14 +136,17 @@ impl WarpExec {
                     let b = stack.pop().expect("validated program");
                     match_end[b] = i;
                 }
-                _ => {}
+                Item::Op(instr) => {
+                    instr.for_each_named_reg(|r| nregs = nregs.max(r.0 as usize + 1))
+                }
+                Item::Bar => {}
             }
         }
         assert!(stack.is_empty(), "unbalanced loops — validate() first");
         WarpExec {
             pc: 0,
             loops: vec![],
-            regs: vec![[0; WARP_WIDTH]; 64],
+            regs: vec![[0; WARP_WIDTH]; nregs],
             warp_global,
             active,
             seed,
@@ -150,6 +158,11 @@ impl WarpExec {
 
     pub fn is_done(&self) -> bool {
         self.done
+    }
+
+    /// Size of the register file (see [`WarpExec::new`]).
+    pub fn num_regs(&self) -> usize {
+        self.regs.len()
     }
 
     pub fn reg(&self, r: Reg) -> &LaneValues {
@@ -329,11 +342,7 @@ impl WarpExec {
             w.u32(f.iter);
         }
         w.len(self.regs.len());
-        for r in &self.regs {
-            for lane in r {
-                w.u64(*lane);
-            }
-        }
+        w.u64s(self.regs.as_flattened());
         w.u32(self.warp_global);
         w.u32(self.active);
         w.u64(self.seed);
@@ -364,11 +373,7 @@ impl WarpExec {
                 self.regs.len()
             )));
         }
-        for reg in &mut self.regs {
-            for lane in reg.iter_mut() {
-                *lane = r.u64()?;
-            }
-        }
+        r.u64s(self.regs.as_flattened_mut())?;
         self.warp_global = r.u32()?;
         self.active = r.u32()?;
         self.seed = r.u64()?;
@@ -715,6 +720,43 @@ mod tests {
         ];
         let w = run_to_end(&p, 0);
         assert_eq!(w.executed, 6);
+    }
+
+    #[test]
+    fn register_file_is_program_sized_and_restore_checks_it() {
+        let mut small = Program::new("t", 1);
+        small.items = vec![
+            Item::Op(I::mov(Reg(0), Operand::Tid)),
+            Item::Op(I::alu(
+                AluOp::IAdd,
+                Reg(3),
+                Operand::Reg(Reg(0)),
+                Operand::Imm(1),
+            )),
+        ];
+        let mut big = small.clone();
+        big.items.push(Item::Op(I::st(Reg(3), Reg(9))));
+        let w = run_to_end(&small, 1);
+        assert_eq!(w.num_regs(), 4, "registers r0..=r3");
+        assert_eq!(WarpExec::new(&big, 0, ALL, 42).num_regs(), 10);
+
+        let mut snap = ndp_common::snap::SnapWriter::new();
+        w.snap(&mut snap);
+        let bytes = snap.into_bytes();
+        let mut same = WarpExec::new(&small, 0, 0, 0);
+        let mut r = ndp_common::snap::SnapReader::new(&bytes);
+        same.restore(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(same.reg(Reg(3)), w.reg(Reg(3)));
+
+        let mut other = WarpExec::new(&big, 0, 0, 0);
+        let e = other
+            .restore(&mut ndp_common::snap::SnapReader::new(&bytes))
+            .unwrap_err();
+        assert!(
+            e.0.contains("warp has 10 registers, checkpoint has 4"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -224,6 +224,30 @@ impl Instr {
         }
     }
 
+    /// Visit every register the instruction names: its destination and
+    /// every register operand, including an ALU operand its op ignores
+    /// (the executor still evaluates it). Sizes the warp register file.
+    pub fn for_each_named_reg(&self, mut f: impl FnMut(Reg)) {
+        match self {
+            Instr::Alu { dst, a, b, c, .. } => {
+                f(*dst);
+                for o in [Some(*a), Some(*b), *c].into_iter().flatten() {
+                    if let Some(r) = o.reg() {
+                        f(r);
+                    }
+                }
+            }
+            Instr::Ld { dst, addr, .. } => {
+                f(*dst);
+                f(*addr);
+            }
+            Instr::St { val, addr, .. } => {
+                f(*val);
+                f(*addr);
+            }
+        }
+    }
+
     /// Source registers (including address registers).
     /// Visit every source register without allocating (hot-path variant of
     /// [`Instr::srcs`] for the per-issue-attempt scoreboard check).

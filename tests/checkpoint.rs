@@ -296,6 +296,45 @@ fn schema_version_bump_is_rejected() {
     assert_eq!(expect_rejection(&cfg, w, &bytes), "schema");
 }
 
+/// A schema-1 image — the layout with an FNV-1a payload checksum — is
+/// refused on its schema, before the checksum could misreport it as
+/// corruption.
+#[test]
+fn schema_1_image_is_rejected_by_schema_not_checksum() {
+    let cfg = small_ndp();
+    let w = Workload::Vadd;
+    let mut bytes = snapshot_bytes(&cfg, w);
+    let h = checkpoint::HEADER_BYTES;
+    let v1_sum = ndp_common::snap::fnv1a(&bytes[h..]);
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    bytes[h - 8..h].copy_from_slice(&v1_sum.to_le_bytes());
+    assert_eq!(expect_rejection(&cfg, w, &bytes), "schema");
+}
+
+/// Every built-in workload's warps carry exactly the registers the kernel
+/// names (1 + the highest one any instruction reads or writes), so
+/// checkpoint images scale with the program, not with the ISA's 64.
+#[test]
+fn warp_register_files_are_program_sized() {
+    for &w in WORKLOADS.iter() {
+        let p = w.build(&scale());
+        let highest = p
+            .items
+            .iter()
+            .filter_map(|item| match item {
+                ndp_isa::program::Item::Op(i) => {
+                    i.srcs().into_iter().chain(i.dst()).map(|r| r.0).max()
+                }
+                _ => None,
+            })
+            .max()
+            .expect("kernel has instructions");
+        let exec = ndp_isa::exec::WarpExec::new(&p, 0, u32::MAX, 0);
+        assert_eq!(exec.num_regs(), highest as usize + 1, "{}", w.name());
+        assert!(exec.num_regs() < 64, "{} names every register", w.name());
+    }
+}
+
 /// Restoring under a different configuration or kernel is refused by the
 /// fingerprint checks — the state would not fit the rebuilt machine.
 #[test]
