@@ -23,35 +23,27 @@ use ndp_workloads::{Scale, WORKLOADS};
 use ndp_common::config::SystemConfig;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: ndp_lint [--quiet] [--drop-edge NAME] [--drop-watch STAGE EDGE] \
-         [--drop-wake STAGE SOURCE] [--drop-footprint NODE] [--footprint-report PATH]"
-    );
+    eprintln!("usage: ndp_lint [--quiet] [--drop-edge NAME] [--drop-watch STAGE EDGE] [--drop-wake STAGE SOURCE]");
     eprintln!("  static model checks; exits 1 if any finding is printed");
     eprintln!("  --drop-* flags mutate the lifted graph before checking (mutation");
-    eprintln!("  testing: a dropped edge/watch/wake-source/footprint must produce a finding)");
-    eprintln!("  --footprint-report writes the per-stage shared-state conflict report");
-    eprintln!("  (the parallel-tick worklist) to PATH ('-' for stdout)");
+    eprintln!("  testing: a dropped edge/watch/wake-source must produce a finding)");
     std::process::exit(2);
 }
 
 /// A graph mutation requested on the command line, applied to every
 /// preset's lifted graph before checking. Used to demonstrate (in CI or by
 /// hand) that the soundness passes actually catch a dropped pipeline edge,
-/// an unwatched in-edge, an unobserved internal wake source, or a missing
-/// shared-state footprint declaration.
+/// an unwatched in-edge, or an unobserved internal wake source.
 #[allow(clippy::enum_variant_names)] // "Drop" is the operation, not noise
 enum Mutation {
     DropEdge(String),
     DropWatch(String, String),
     DropWake(String, String),
-    DropFootprint(String),
 }
 
 fn main() {
     let mut quiet = false;
     let mut mutations: Vec<Mutation> = Vec::new();
-    let mut report_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut take = || args.next().unwrap_or_else(|| usage());
@@ -60,8 +52,6 @@ fn main() {
             "--drop-edge" => mutations.push(Mutation::DropEdge(take())),
             "--drop-watch" => mutations.push(Mutation::DropWatch(take(), take())),
             "--drop-wake" => mutations.push(Mutation::DropWake(take(), take())),
-            "--drop-footprint" => mutations.push(Mutation::DropFootprint(take())),
-            "--footprint-report" => report_path = Some(take()),
             _ => usage(),
         }
     }
@@ -106,7 +96,6 @@ fn main() {
                 Mutation::DropEdge(e) => g.remove_edge(e),
                 Mutation::DropWatch(s, e) => g.remove_watch(s, e),
                 Mutation::DropWake(s, w) => g.remove_wake(s, w),
-                Mutation::DropFootprint(n) => g.remove_footprint(n),
             };
             if !applied {
                 emit(format!("fabric [{name}]: mutation target not found"));
@@ -114,20 +103,6 @@ fn main() {
         }
         for d in g.check() {
             emit(format!("fabric [{name}]: {d}"));
-        }
-    }
-
-    // Conflict report: the per-stage shared-state footprints of the
-    // canonical dynamic preset (the footprint registry is config-
-    // independent), rendered from an *unmutated* graph — the report
-    // documents the real machine even when mutations are being tested.
-    if let Some(path) = &report_path {
-        let report = fabric_graph(&SystemConfig::ndp_dynamic()).footprint_report();
-        if path == "-" {
-            print!("{report}");
-        } else if let Err(e) = std::fs::write(path, &report) {
-            eprintln!("ndp_lint: cannot write {path}: {e}");
-            std::process::exit(2);
         }
     }
 

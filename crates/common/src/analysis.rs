@@ -18,12 +18,8 @@
 //! - **wait-for acyclicity** — the subgraph of bounded, non-credit-protected
 //!   edges is cycle-free, the structural precondition for
 //!   backpressure-induced deadlock;
-//! - **parallel safety** — every member of a parallel-eligible tick stage
-//!   declares a shared-state [`FootprintSpec`] free of shared writes
-//!   ([`FabricGraph::check_parallel_safety`]), and the stages that *do*
-//!   write shared state are rendered into a per-stage conflict report
-//!   ([`FabricGraph::footprint_report`]) naming exactly which resources
-//!   serialize them.
+//! - **quiescence soundness** — every skippable tick stage's work horizon
+//!   observes each in-edge and internal wake source of its node.
 //!
 //! [`PacketKind`]: crate::packet::PacketKind
 
@@ -114,37 +110,6 @@ pub struct SkipSpec {
     /// horizon doesn't observe is deferred work the event-driven core
     /// could sleep through, exactly like an unwatched in-edge.
     pub wakes: Vec<&'static str>,
-    /// Whether the runtime may tick this stage's members on threads (the
-    /// `NDP_PARALLEL` path). Parallel-eligible stages must have a
-    /// write-free shared-state footprint — enforced by
-    /// [`FabricGraph::check_parallel_safety`].
-    pub parallel: bool,
-}
-
-/// One shared mutable resource of the machine — controller state, credit
-/// pools, the observability ring — that component ticks may touch. The
-/// registry gives footprint declarations a closed universe: a footprint
-/// naming an unregistered resource is a phantom claim.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedResourceSpec {
-    /// Canonical name (see `crate::footprint::res`), e.g. `ctrl.credits`.
-    pub name: &'static str,
-    /// The service that owns the state (e.g. `ctrl`, `system`).
-    pub owner: &'static str,
-    /// One-line description for the conflict report.
-    pub note: &'static str,
-}
-
-/// The declared per-tick shared-state footprint of one component class,
-/// lifted from its `FOOTPRINT` const (the static twin of the `NDP_RACE`
-/// runtime recorder — the detector validates these very declarations).
-/// Write membership implies read permission.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FootprintSpec {
-    /// The [`GraphNode`] whose component class declares this footprint.
-    pub node: &'static str,
-    pub reads: Vec<&'static str>,
-    pub writes: Vec<&'static str>,
 }
 
 /// One internal wake source a component registers (its `WAKE_SOURCES`
@@ -180,13 +145,6 @@ pub struct FabricGraph {
     /// Registry of internal wake sources, lifted from the components'
     /// `WAKE_SOURCES` consts (see [`WakeSourceSpec`]).
     pub wake_sources: Vec<WakeSourceSpec>,
-    /// Registry of shared mutable resources. Together with `footprints`,
-    /// empty means the graph predates (or opts out of) footprint analysis
-    /// and the parallel-safety check vacuously passes.
-    pub resources: Vec<SharedResourceSpec>,
-    /// Shared-state footprints of the tick-stage component classes,
-    /// lifted from their `FOOTPRINT` consts (see [`FootprintSpec`]).
-    pub footprints: Vec<FootprintSpec>,
 }
 
 /// One finding of [`FabricGraph::check`], naming the check family and the
@@ -250,17 +208,6 @@ impl FabricGraph {
         spec.wakes.len() != before
     }
 
-    /// Remove the named component class's footprint declaration; `true`
-    /// if it existed. Mutation-test hook (and the way `ndp-lint
-    /// --drop-footprint` simulates an undeclared component): the resulting
-    /// graph must fail [`FabricGraph::check`] with a `footprint`
-    /// diagnostic naming the member.
-    pub fn remove_footprint(&mut self, node: &str) -> bool {
-        let before = self.footprints.len();
-        self.footprints.retain(|f| f.node != node);
-        self.footprints.len() != before
-    }
-
     /// Run every static check; an empty result means the graph is
     /// well-formed.
     pub fn check(&self) -> Vec<GraphDiag> {
@@ -276,125 +223,7 @@ impl FabricGraph {
         self.check_credits(&mut diags);
         self.check_wait_cycles(&mut diags);
         self.check_quiescence(&mut diags);
-        self.check_parallel_safety(&mut diags);
         diags
-    }
-
-    /// Parallel safety of the member-loop stages: every skippable tick
-    /// stage's component class must declare a shared-state footprint over
-    /// registered resources, and a stage the runtime ticks on threads
-    /// (`parallel`) must be write-free — two members of the same class
-    /// share one footprint, so any declared shared write is a write-write
-    /// (and read-write) conflict between sibling lanes. Conflicts on
-    /// *sequential* stages are not findings; they are the worklist
-    /// rendered by [`FabricGraph::footprint_report`].
-    fn check_parallel_safety(&self, diags: &mut Vec<GraphDiag>) {
-        if self.resources.is_empty() && self.footprints.is_empty() {
-            return; // graph opts out of footprint analysis
-        }
-        for fp in &self.footprints {
-            if self.node(fp.node).is_none() {
-                diags.push(GraphDiag {
-                    check: "footprint",
-                    detail: format!("footprint declared for unknown node {:?}", fp.node),
-                });
-            }
-            for r in fp.reads.iter().chain(&fp.writes) {
-                if !self.resources.iter().any(|s| s.name == *r) {
-                    diags.push(GraphDiag {
-                        check: "footprint",
-                        detail: format!(
-                            "footprint of {:?} names unregistered shared resource {:?}",
-                            fp.node, r
-                        ),
-                    });
-                }
-            }
-        }
-        for spec in &self.skip_specs {
-            let Some(fp) = self.footprints.iter().find(|f| f.node == spec.node) else {
-                diags.push(GraphDiag {
-                    check: "footprint",
-                    detail: format!(
-                        "member {:?} of stage {:?} declares no shared-state footprint — \
-                         its per-tick shared accesses are invisible to the \
-                         parallel-safety analysis",
-                        spec.node, spec.stage
-                    ),
-                });
-                continue;
-            };
-            if spec.parallel {
-                for w in &fp.writes {
-                    diags.push(GraphDiag {
-                        check: "parallel-safety",
-                        detail: format!(
-                            "stage {:?} ticks its {:?} members on threads, but each member \
-                             writes shared resource {:?} — a write-write conflict between \
-                             sibling lanes",
-                            spec.stage, spec.node, w
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Render the per-stage shared-state conflict report: for every
-    /// skippable tick stage, its members' declared footprint and the
-    /// parallel verdict — certified parallel-safe (write-free), or
-    /// serialized with the exact resources that block it. This is the
-    /// committed `results/parallel_footprint.txt` deliverable: the
-    /// worklist for making `tick:sms` parallel-eligible.
-    pub fn footprint_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "# Per-stage shared-state footprints");
-        let _ = writeln!(
-            out,
-            "# (ndp-lint check_parallel_safety; see DESIGN.md section 16)"
-        );
-        let _ = writeln!(out);
-        let _ = writeln!(out, "## Shared resources");
-        for r in &self.resources {
-            let _ = writeln!(out, "  {:<18} owner={:<7} {}", r.name, r.owner, r.note);
-        }
-        let _ = writeln!(out);
-        let _ = writeln!(out, "## Tick stages");
-        for spec in &self.skip_specs {
-            let mode = if spec.parallel {
-                "parallel (NDP_PARALLEL)"
-            } else {
-                "sequential"
-            };
-            let _ = writeln!(out, "  {} [{}], members: {}", spec.stage, mode, spec.node);
-            let Some(fp) = self.footprints.iter().find(|f| f.node == spec.node) else {
-                let _ = writeln!(out, "    footprint: UNDECLARED");
-                continue;
-            };
-            let render = |v: &[&str]| {
-                if v.is_empty() {
-                    "-".into()
-                } else {
-                    v.join(", ")
-                }
-            };
-            let _ = writeln!(out, "    reads:  {}", render(&fp.reads));
-            let _ = writeln!(out, "    writes: {}", render(&fp.writes));
-            if fp.writes.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "    verdict: parallel-safe (certified: no shared writes)"
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "    verdict: serialized — blocked by shared writes: {}",
-                    fp.writes.join(", ")
-                );
-            }
-        }
-        out
     }
 
     /// Quiescence soundness of the event-driven core: every declared
@@ -678,8 +507,6 @@ mod tests {
             sites: vec!["reserve", "credits"],
             skip_specs: vec![],
             wake_sources: vec![],
-            resources: vec![],
-            footprints: vec![],
         }
     }
 
@@ -743,14 +570,12 @@ mod tests {
                 node: "a",
                 watches: vec!["bwd"],
                 wakes: vec!["a:wheel"],
-                parallel: false,
             },
             SkipSpec {
                 stage: "tick:b",
                 node: "b",
                 watches: vec!["fwd"],
                 wakes: vec![],
-                parallel: true,
             },
         ];
         g.wake_sources = vec![WakeSourceSpec {
@@ -817,7 +642,6 @@ mod tests {
             node: "ghost",
             watches: vec![],
             wakes: vec![],
-            parallel: false,
         });
         g.skip_specs[0].watches.push("no_such_edge");
         let diags = g.check();
@@ -832,129 +656,6 @@ mod tests {
                 .iter()
                 .any(|d| d.check == "quiescence" && d.detail.contains("no_such_edge")),
             "{diags:?}"
-        );
-    }
-
-    fn with_footprints(mut g: FabricGraph) -> FabricGraph {
-        g.resources = vec![
-            SharedResourceSpec {
-                name: "svc.pool",
-                owner: "svc",
-                note: "shared pool",
-            },
-            SharedResourceSpec {
-                name: "svc.log",
-                owner: "svc",
-                note: "shared log",
-            },
-        ];
-        g.footprints = vec![
-            FootprintSpec {
-                node: "a",
-                reads: vec!["svc.pool"],
-                writes: vec!["svc.log"],
-            },
-            FootprintSpec {
-                node: "b",
-                reads: vec![],
-                writes: vec![],
-            },
-        ];
-        g
-    }
-
-    #[test]
-    fn complete_footprints_are_clean() {
-        // "tick:a" writes shared state but is sequential; "tick:b" is
-        // parallel with an empty footprint — both fine.
-        assert_eq!(with_footprints(with_specs(tiny())).check(), vec![]);
-    }
-
-    #[test]
-    fn graphs_without_footprints_opt_out() {
-        // Pre-footprint graphs (empty registry + declarations) pass
-        // vacuously, even with skip specs present.
-        assert_eq!(with_specs(tiny()).check(), vec![]);
-    }
-
-    #[test]
-    fn dropped_footprint_names_the_member_and_stage() {
-        let mut g = with_footprints(with_specs(tiny()));
-        assert!(g.remove_footprint("a"));
-        assert!(!g.remove_footprint("a"), "second removal is a no-op");
-        let diags = g.check();
-        assert!(
-            diags.iter().any(|d| d.check == "footprint"
-                && d.detail.contains("\"a\"")
-                && d.detail.contains("tick:a")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn shared_write_on_parallel_stage_is_flagged() {
-        let mut g = with_footprints(with_specs(tiny()));
-        g.footprints[1].writes.push("svc.pool"); // b ticks on threads
-        let diags = g.check();
-        assert!(
-            diags.iter().any(|d| d.check == "parallel-safety"
-                && d.detail.contains("tick:b")
-                && d.detail.contains("svc.pool")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn shared_read_on_parallel_stage_is_safe() {
-        let mut g = with_footprints(with_specs(tiny()));
-        g.footprints[1].reads.push("svc.pool"); // RR sharing is fine
-        assert_eq!(g.check(), vec![]);
-    }
-
-    #[test]
-    fn phantom_resource_in_footprint_detected() {
-        let mut g = with_footprints(with_specs(tiny()));
-        g.footprints[0].writes.push("svc.ghost");
-        let diags = g.check();
-        assert!(
-            diags.iter().any(|d| d.check == "footprint"
-                && d.detail.contains("svc.ghost")
-                && d.detail.contains("unregistered")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn footprint_for_unknown_node_detected() {
-        let mut g = with_footprints(with_specs(tiny()));
-        g.footprints.push(FootprintSpec {
-            node: "ghost",
-            reads: vec![],
-            writes: vec![],
-        });
-        let diags = g.check();
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.check == "footprint" && d.detail.contains("unknown node")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn report_names_blocking_resources_and_verdicts() {
-        let g = with_footprints(with_specs(tiny()));
-        let report = g.footprint_report();
-        assert!(report.contains("svc.pool"), "{report}");
-        assert!(
-            report.contains("tick:a [sequential]")
-                && report.contains("blocked by shared writes: svc.log"),
-            "{report}"
-        );
-        assert!(
-            report.contains("tick:b [parallel (NDP_PARALLEL)]")
-                && report.contains("parallel-safe (certified: no shared writes)"),
-            "{report}"
         );
     }
 

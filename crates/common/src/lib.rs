@@ -24,7 +24,6 @@ pub mod credit;
 pub mod env;
 pub mod error;
 pub mod fault;
-pub mod footprint;
 pub mod ids;
 pub mod invariant;
 pub mod link;
@@ -37,15 +36,11 @@ pub mod snap;
 pub mod stats;
 pub mod watchdog;
 
-pub use analysis::{
-    CreditPoolSpec, FabricGraph, FootprintSpec, GraphDiag, GraphEdge, GraphNode,
-    SharedResourceSpec, WakeSourceSpec,
-};
+pub use analysis::{CreditPoolSpec, FabricGraph, GraphDiag, GraphEdge, GraphNode, WakeSourceSpec};
 pub use bitset::BitSet;
 pub use config::SystemConfig;
 pub use error::{PacketSummary, SimError};
 pub use fault::{FaultAction, FaultConfig, FaultInjector, FaultStats, InjectedFault};
-pub use footprint::{Access, Footprint, RaceDetector};
 pub use ids::{Cycle, HmcId, Node, OffloadToken, SmId, VaultId};
 pub use invariant::Invariants;
 pub use packet::{Packet, PacketKind};

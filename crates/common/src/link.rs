@@ -43,11 +43,6 @@ pub struct Link {
 }
 
 impl Link {
-    /// Per-tick shared-state footprint: a link touches only its own
-    /// queues, so the `tick:up_links`/`tick:down_links` member loops are
-    /// parallel-eligible by construction (DESIGN.md §16).
-    pub const FOOTPRINT: crate::footprint::Footprint = crate::footprint::Footprint::EMPTY;
-
     /// `capacity` is the maximum number of packets that may wait for the
     /// serializer; senders must check [`Link::can_accept`] and stall
     /// otherwise.

@@ -45,8 +45,11 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"NDPCKPT\0");
 /// changes; old files are then rejected with a `schema` check failure
 /// instead of being misdecoded. v2: the payload checksum became
 /// [`checksum64`] (v1 used FNV-1a), so a v1 file must fail on its schema,
-/// not as a checksum mismatch.
-pub const SCHEMA_VERSION: u32 = 2;
+/// not as a checksum mismatch. v3: the clock section dropped the
+/// intra-cycle threading flag byte (the threaded path is gone), shifting
+/// every later field, so a v2 image must fail on its schema, not
+/// misdecode.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// File extension used for per-workload checkpoints when
 /// `NDP_CHECKPOINT_PATH` / `NDP_RESUME` name a directory.

@@ -168,18 +168,24 @@ mod tests {
             warps: 32,
             iters: 2,
         };
-        let m = run_matrix(
-            &[("Baseline", base), ("NaiveNDP", ndp)],
-            &[Workload::Vadd, Workload::Sp],
-            &scale,
-            2_000_000,
-        );
+        let configs = [("Baseline", base), ("NaiveNDP", ndp)];
+        let workloads = [Workload::Vadd, Workload::Sp];
+        let m = run_matrix(&configs, &workloads, &scale, 2_000_000);
         assert_eq!(m.results.len(), 2);
         assert_eq!(m.results[0].len(), 2);
-        for row in &m.results {
-            for r in row {
+        for (row, (name, cfg)) in m.results.iter().zip(&configs) {
+            for (r, &w) in row.iter().zip(&workloads) {
                 assert!(!r.timed_out, "{} timed out", r.workload);
                 assert!(r.cycles > 0);
+                // The worker pool is the simulator's only multi-threaded
+                // path: a pooled cell must match the same cell run alone.
+                let solo = run_workload(w, cfg.clone(), &scale, 2_000_000);
+                assert_eq!(
+                    format!("{r:#?}"),
+                    format!("{solo:#?}"),
+                    "{name}/{}: pooled cell diverged from a solo run",
+                    w.name()
+                );
             }
         }
         let sp = m.speedups("NaiveNDP", "Baseline");

@@ -17,11 +17,9 @@
 //! they must not be computed from the routing code itself.
 
 use ndp_common::analysis::{
-    kind_bit, CreditPoolSpec, FabricGraph, FootprintSpec, GraphEdge, GraphNode, KindMask,
-    SharedResourceSpec, SkipSpec, WakeSourceSpec,
+    kind_bit, CreditPoolSpec, FabricGraph, GraphEdge, GraphNode, KindMask, SkipSpec, WakeSourceSpec,
 };
 use ndp_common::config::SystemConfig;
-use ndp_common::footprint::{res, Footprint};
 use ndp_common::port::{Op, Stage};
 
 use crate::system::{Comp, SideChannel, System, Tx};
@@ -227,69 +225,12 @@ fn skip_spec_of(c: Comp) -> SkipSpec {
         Comp::Stacks => ndp_hmc::HmcStack::WAKE_SOURCES.to_vec(),
         _ => vec![],
     };
-    // Mirrors the NDP_PARALLEL path in System::tick_comp: only the stack
-    // and NSU member loops run on scoped threads. check_parallel_safety
-    // holds these stages to a write-free footprint.
-    let parallel = matches!(c, Comp::Stacks | Comp::Nsus);
     SkipSpec {
         stage,
         node,
         watches,
         wakes,
-        parallel,
     }
-}
-
-/// The shared-mutable-resource registry of the machine: the offload
-/// controller's state (exported as `OffloadController::RESOURCES` next to
-/// the code that touches it) plus the diagnostics services every tick may
-/// reach. Footprint declarations must draw from this closed universe.
-fn shared_resources() -> Vec<SharedResourceSpec> {
-    let mut v: Vec<SharedResourceSpec> = crate::offload::OffloadController::RESOURCES
-        .iter()
-        .map(|&(name, note)| SharedResourceSpec {
-            name,
-            owner: "ctrl",
-            note,
-        })
-        .collect();
-    // Diagnostics services owned by the fabric owner. Components reach
-    // them only through messages or owner-drained queues today, so no
-    // footprint declares them — registered so a future direct access has
-    // a name to be declared (and detected) under.
-    v.push(SharedResourceSpec {
-        name: res::OBS_EVENT_RING,
-        owner: "system",
-        note: "observability event ring (append-only event log)",
-    });
-    v.push(SharedResourceSpec {
-        name: res::FAULT_RNG,
-        owner: "system",
-        note: "fault-injector RNG stream (draws are order-dependent)",
-    });
-    v.push(SharedResourceSpec {
-        name: res::WATCHDOG_PROGRESS,
-        owner: "system",
-        note: "forward-progress watchdog counters",
-    });
-    v
-}
-
-/// The footprint registry: each tick-stage component class exports a
-/// `FOOTPRINT` const next to its tick code; lifting pulls those consts
-/// here so the parallel-safety pass (and the `NDP_RACE` detector, which
-/// is built from this same list) sees the *implementation's* declaration,
-/// not a copy.
-pub(crate) fn footprints() -> Vec<(&'static str, Footprint)> {
-    vec![
-        ("sm", ndp_gpu::Sm::FOOTPRINT),
-        ("l2_slice", ndp_gpu::L2Slice::FOOTPRINT),
-        ("up_link", ndp_common::link::Link::FOOTPRINT),
-        ("stack", ndp_hmc::HmcStack::FOOTPRINT),
-        ("memnet", ndp_memnet::MemNetwork::FOOTPRINT),
-        ("nsu", ndp_nsu::Nsu::FOOTPRINT),
-        ("down_link", ndp_common::link::Link::FOOTPRINT),
-    ]
 }
 
 /// The wake-source registry of the machine: each component class that
@@ -317,15 +258,6 @@ fn lift(cfg: &SystemConfig, stages: &[Stage<System>]) -> FabricGraph {
     let mut g = FabricGraph {
         nodes: nodes(),
         wake_sources: wake_sources(),
-        resources: shared_resources(),
-        footprints: footprints()
-            .into_iter()
-            .map(|(node, fp)| FootprintSpec {
-                node,
-                reads: fp.reads.to_vec(),
-                writes: fp.writes.to_vec(),
-            })
-            .collect(),
         ..Default::default()
     };
     // The acquire side of the reservation protocol is SM issue logic, not
@@ -493,97 +425,6 @@ mod tests {
                     .any(|s| s.node == "stack" && s.name == *name),
                 "unregistered {name}"
             );
-        }
-    }
-
-    #[test]
-    fn every_tick_stage_member_declares_a_footprint() {
-        let g = fabric_graph(&SystemConfig::ndp_dynamic());
-        for spec in &g.skip_specs {
-            assert!(
-                g.footprints.iter().any(|f| f.node == spec.node),
-                "no footprint for {:?} (stage {:?})",
-                spec.node,
-                spec.stage
-            );
-        }
-        // And every declared resource is registered (closed universe).
-        assert!(g.check().is_empty());
-    }
-
-    #[test]
-    fn parallel_stages_are_exactly_the_ndp_parallel_leg_and_write_free() {
-        // The static model must mirror the runtime: only the stack and
-        // NSU member loops run on threads, and both are certified
-        // conflict-free (empty footprints) by construction.
-        let g = fabric_graph(&SystemConfig::ndp_dynamic());
-        let parallel: Vec<_> = g
-            .skip_specs
-            .iter()
-            .filter(|s| s.parallel)
-            .map(|s| s.stage)
-            .collect();
-        assert_eq!(parallel, vec!["tick:stacks", "tick:nsus"]);
-        for node in ["stack", "nsu"] {
-            let fp = g.footprints.iter().find(|f| f.node == node).unwrap();
-            assert!(fp.reads.is_empty() && fp.writes.is_empty(), "{node}");
-        }
-    }
-
-    #[test]
-    fn dropping_the_sm_footprint_is_caught_by_name() {
-        // Simulates an SM class that stopped declaring its controller
-        // footprint: the parallel-safety pass loses sight of exactly the
-        // accesses that keep tick:sms sequential, so it must flag the
-        // member by name.
-        let mut g = fabric_graph(&SystemConfig::ndp_dynamic());
-        assert!(g.remove_footprint("sm"));
-        let diags = g.check();
-        assert!(
-            diags.iter().any(|d| d.check == "footprint"
-                && d.detail.contains("\"sm\"")
-                && d.detail.contains("tick:sms")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn a_shared_write_on_the_parallel_leg_is_flagged() {
-        // If a stack ever grew a controller write, NDP_PARALLEL would
-        // race; the lint must refuse the graph before the runtime can.
-        let mut g = fabric_graph(&SystemConfig::ndp_dynamic());
-        g.footprints
-            .iter_mut()
-            .find(|f| f.node == "stack")
-            .unwrap()
-            .writes
-            .push(ndp_common::footprint::res::CTRL_CREDITS);
-        let diags = g.check();
-        assert!(
-            diags.iter().any(|d| d.check == "parallel-safety"
-                && d.detail.contains("tick:stacks")
-                && d.detail.contains("ctrl.credits")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn conflict_report_names_the_sm_blockers() {
-        // The committed results/parallel_footprint.txt deliverable: the
-        // report must pinpoint the controller fields that serialize
-        // tick:sms and certify the threaded stages.
-        let g = fabric_graph(&SystemConfig::ndp_dynamic());
-        let report = g.footprint_report();
-        for needle in [
-            "tick:sms [sequential]",
-            "blocked by shared writes:",
-            "ctrl.credits",
-            "ctrl.decisions",
-            "ctrl.hill_climb",
-            "tick:stacks [parallel (NDP_PARALLEL)]",
-            "parallel-safe (certified: no shared writes)",
-        ] {
-            assert!(report.contains(needle), "missing {needle:?} in:\n{report}");
         }
     }
 

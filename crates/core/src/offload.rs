@@ -134,15 +134,6 @@ pub struct OffloadController {
     /// entries than exist can never reserve and must run on the GPU.
     read_capacity: usize,
     write_capacity: usize,
-    /// `NDP_RACE=1` access recorder, shared with `System` (which brackets
-    /// the member loops). `None` when disarmed — the recording hooks then
-    /// cost one branch and touch nothing. Deliberately *not* part of the
-    /// checkpoint image: detector state is diagnostics, not model state.
-    race: Option<Arc<ndp_common::footprint::RaceDetector>>,
-    /// Test hook: when set, `decide_offload` also records an access to a
-    /// resource no footprint declares, so the `NDP_RACE` run must fail
-    /// with `UndeclaredAccess` naming it (`tests/static_verify.rs`).
-    shadow_access: bool,
 }
 
 impl OffloadController {
@@ -168,62 +159,6 @@ impl OffloadController {
             read_capacity: cfg.nsu.read_data_entries,
             write_capacity: cfg.nsu.write_addr_entries,
             blocks,
-            race: None,
-            shadow_access: false,
-        }
-    }
-
-    /// The controller's shared mutable resources, named for footprint
-    /// declarations and the conflict report. Kept next to the state
-    /// itself so the registry cannot drift from the struct: every field a
-    /// component can reach through [`NdpEnv`] (or `note_l2_event`) has
-    /// exactly one entry here, and the recording hooks below use the same
-    /// `res::*` constants.
-    pub const RESOURCES: &'static [(&'static str, &'static str)] = &[
-        (
-            ndp_common::footprint::res::CTRL_CREDITS,
-            "NSU buffer-credit pools (BufferManager reservations)",
-        ),
-        (
-            ndp_common::footprint::res::CTRL_DECISIONS,
-            "offload decision stream: offered/offloaded counters + deterministic sampler",
-        ),
-        (
-            ndp_common::footprint::res::CTRL_BLOCK_STATS,
-            "per-block cache-behaviour statistics (locality gate input)",
-        ),
-        (
-            ndp_common::footprint::res::CTRL_HILL_CLIMB,
-            "Algorithm-1 hill-climb state: ratio + epoch instruction counter",
-        ),
-        (
-            ndp_common::footprint::res::CTRL_WTA_INFLIGHT,
-            "in-flight WTA line counters per stack (page-remap gate)",
-        ),
-        (
-            ndp_common::footprint::res::CTRL_RO_CACHE,
-            "per-NSU read-only cache directories (FIFO)",
-        ),
-    ];
-
-    /// Arm (or disarm) the `NDP_RACE` access recorder. Called by `System`
-    /// with its own detector handle so both sides see one epoch stream.
-    pub fn set_race(&mut self, race: Option<Arc<ndp_common::footprint::RaceDetector>>) {
-        self.race = race;
-    }
-
-    /// Test hook: make `decide_offload` additionally touch a shared
-    /// resource outside every declared footprint.
-    #[doc(hidden)]
-    pub fn debug_record_undeclared(&mut self, on: bool) {
-        self.shadow_access = on;
-    }
-
-    /// Record one declared-resource access when the detector is armed.
-    /// Disarmed cost: a single `None` branch.
-    fn rec(&self, resource: &'static str, access: ndp_common::footprint::Access) {
-        if let Some(r) = &self.race {
-            r.record(resource, access);
         }
     }
 
@@ -449,23 +384,6 @@ impl OffloadController {
 
 impl NdpEnv for OffloadController {
     fn decide_offload(&mut self, sm: u16, block: u16) -> bool {
-        use ndp_common::footprint::{res, Access};
-        // The decision stream (offered/offloaded + sampler) advances on
-        // every call, and the dynamic policies read the hill-climb ratio:
-        // exactly the order-dependence that keeps tick:sms sequential.
-        self.rec(res::CTRL_DECISIONS, Access::Write);
-        match self.policy {
-            OffloadPolicy::Dynamic | OffloadPolicy::DynamicCacheAware => {
-                self.rec(res::CTRL_HILL_CLIMB, Access::Read);
-            }
-            _ => {}
-        }
-        if let OffloadPolicy::DynamicCacheAware = self.policy {
-            self.rec(res::CTRL_BLOCK_STATS, Access::Read);
-        }
-        if self.shadow_access {
-            self.rec("ctrl.shadow", Access::Write);
-        }
         self.offered += 1;
         if !self.fits_buffers(block) {
             return false;
@@ -494,32 +412,16 @@ impl NdpEnv for OffloadController {
     }
 
     fn try_reserve(&mut self, hmc: HmcId, n_loads: usize, n_stores: usize) -> bool {
-        self.rec(
-            ndp_common::footprint::res::CTRL_CREDITS,
-            ndp_common::footprint::Access::Write,
-        );
         self.mgr.try_reserve(hmc, n_loads, n_stores)
     }
 
     fn note_block_lines(&mut self, block: u16, lines: u32, l1_hits: u32) {
-        self.rec(
-            ndp_common::footprint::res::CTRL_BLOCK_STATS,
-            ndp_common::footprint::Access::Write,
-        );
         let s = &mut self.block_stats[block as usize];
         s.lines += lines as u64;
         s.l1_hits += l1_hits as u64;
     }
 
     fn note_block_done(&mut self, block: u16, instrs: u32) {
-        self.rec(
-            ndp_common::footprint::res::CTRL_BLOCK_STATS,
-            ndp_common::footprint::Access::Write,
-        );
-        self.rec(
-            ndp_common::footprint::res::CTRL_HILL_CLIMB,
-            ndp_common::footprint::Access::Write,
-        );
         let s = &mut self.block_stats[block as usize];
         s.instances += 1;
         s.instrs += instrs as u64;
@@ -527,18 +429,10 @@ impl NdpEnv for OffloadController {
     }
 
     fn note_wta_line(&mut self, hmc: HmcId) {
-        self.rec(
-            ndp_common::footprint::res::CTRL_WTA_INFLIGHT,
-            ndp_common::footprint::Access::Write,
-        );
         self.wta_inflight[hmc.0 as usize] += 1;
     }
 
     fn nsu_ro_cached(&mut self, nsu: HmcId, line: u64) -> bool {
-        self.rec(
-            ndp_common::footprint::res::CTRL_RO_CACHE,
-            ndp_common::footprint::Access::Write,
-        );
         if self.ro_cache_lines == 0 {
             return false;
         }
@@ -560,10 +454,6 @@ impl NdpEnv for OffloadController {
 impl OffloadController {
     /// L2-level hit/miss samples reported by the uncore.
     pub fn note_l2_event(&mut self, block: u16, hit: bool) {
-        self.rec(
-            ndp_common::footprint::res::CTRL_BLOCK_STATS,
-            ndp_common::footprint::Access::Write,
-        );
         if hit {
             self.block_stats[block as usize].l2_hits += 1;
         }

@@ -7,7 +7,6 @@ use std::sync::{Arc, OnceLock};
 use ndp_common::config::{OffloadPolicy, SystemConfig};
 use ndp_common::error::{PacketSummary, SimError};
 use ndp_common::fault::{FaultAction, FaultConfig, FaultInjector, FaultStats, InjectedFault};
-use ndp_common::footprint::{self, RaceDetector};
 use ndp_common::ids::{Cycle, HmcId, Node};
 use ndp_common::invariant::Invariants;
 use ndp_common::link::Link;
@@ -93,17 +92,6 @@ pub struct System {
     /// [`System::set_skip`]) forces exhaustive per-cycle ticking.
     /// Results are bit-identical either way — only wall-clock changes.
     skip: bool,
-    /// Tick the 8 stack interiors (and NSUs) on scoped threads between
-    /// fabric barriers. Off by default; `NDP_PARALLEL=1` or
-    /// [`System::set_parallel`]. Deterministic: each thread owns one
-    /// component and all cross-component traffic stays on fabric edges.
-    parallel: bool,
-    /// `NDP_RACE=1` shared-state race detector (DESIGN.md §16), shared
-    /// with the controller. `None` when disarmed: the member loops then
-    /// skip all accessor marking and the recording hooks reduce to one
-    /// branch, so the disarmed cost is zero (goldens are byte-identical
-    /// with the detector armed too — it is strictly read-only).
-    race: Option<Arc<RaceDetector>>,
 }
 
 impl System {
@@ -216,17 +204,8 @@ impl System {
         let nsus = (0..cfg.hmc.num_hmcs)
             .map(|i| Nsu::new(HmcId(i as u8), &cfg, Arc::clone(&blocks)))
             .collect();
-        let mut ctrl = OffloadController::new(&cfg, blocks);
+        let ctrl = OffloadController::new(&cfg, blocks);
         let nsu_div = cfg.nsu_divider();
-        let race = ndp_common::env::flag_or_die("NDP_RACE")
-            .unwrap_or(false)
-            .then(|| {
-                Arc::new(RaceDetector::new(
-                    crate::fabric_model::footprints(),
-                    ndp_common::env::flag_or_die("NDP_RACE_LOG").unwrap_or(false),
-                ))
-            });
-        ctrl.set_race(race.clone());
         Ok(System {
             cfg,
             kernel,
@@ -253,8 +232,6 @@ impl System {
             ndp_on,
             nsu_div,
             skip: !ndp_common::env::flag_or_die("NDP_NO_SKIP").unwrap_or(false),
-            parallel: ndp_common::env::flag_or_die("NDP_PARALLEL").unwrap_or(false),
-            race,
         })
     }
 
@@ -263,43 +240,6 @@ impl System {
     /// execution strategy, not a model change: outcomes are bit-identical.
     pub fn set_skip(&mut self, skip: bool) {
         self.skip = skip;
-    }
-
-    /// Enable or disable parallel ticking of stack/NSU interiors between
-    /// fabric barriers (overrides the `NDP_PARALLEL` default).
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
-    }
-
-    /// Arm or disarm the shared-state race detector (overrides the
-    /// `NDP_RACE` default; tests use this rather than the process-global
-    /// environment). Detection is read-only: arming it never changes
-    /// simulation output, it only adds typed `DataRace` /
-    /// `UndeclaredAccess` errors when declarations and behaviour disagree.
-    pub fn set_race(&mut self, on: bool) {
-        self.race = on.then(|| {
-            Arc::new(RaceDetector::new(
-                crate::fabric_model::footprints(),
-                ndp_common::env::flag_or_die("NDP_RACE_LOG").unwrap_or(false),
-            ))
-        });
-        self.ctrl.set_race(self.race.clone());
-    }
-
-    /// Handle to the armed race detector (for post-run stats in tests).
-    #[doc(hidden)]
-    pub fn race_handle(&self) -> Option<Arc<RaceDetector>> {
-        self.race.clone()
-    }
-
-    /// Treat `stage` as a run-spanning parallel region in the armed
-    /// detector — the deterministic way to demonstrate what parallel
-    /// `tick:sms` would trip over (see `tests/static_verify.rs`).
-    #[doc(hidden)]
-    pub fn debug_force_race_parallel(&mut self, stage: &'static str) {
-        if let Some(r) = &self.race {
-            r.force_parallel(stage);
-        }
     }
 
     /// Override the watchdog threshold (`None` disables the watchdog).
@@ -354,13 +294,6 @@ impl System {
         // poll their parked errors.
         for st in &mut self.stacks {
             if let Some(e) = st.take_error() {
-                return Err(e);
-            }
-        }
-        // The race detector's hooks are likewise infallible; poll its
-        // parked DataRace/UndeclaredAccess error.
-        if let Some(r) = &self.race {
-            if let Some(e) = r.take_error() {
                 return Err(e);
             }
         }
@@ -808,10 +741,10 @@ impl System {
     /// checksummed checkpoint image (the full file contents, header
     /// included).
     ///
-    /// Included: the clock and execution-strategy flags, every SM (warp
-    /// contexts, scoreboards, L1 + MSHRs, NDP buffers, output queue),
-    /// every L2 slice, both GPU link directions, every HMC stack (vault
-    /// queues, DRAM bank timing, port FIFOs), the memory network, every
+    /// Included: the clock and the skip flag, every SM (warp contexts,
+    /// scoreboards, L1 + MSHRs, NDP buffers, output queue), every L2
+    /// slice, both GPU link directions, every HMC stack (vault queues,
+    /// DRAM bank timing, port FIFOs), the memory network, every
     /// NSU (warp slots, command/read/write buffers, credits), the offload
     /// controller (credit pools, hill climber, WTA counters), the
     /// protocol-invariant engine, the watchdog, the fault injector, and
@@ -828,7 +761,6 @@ impl System {
         w.tag(SEC_CLOCK);
         w.u64(self.now);
         w.bool(self.skip);
-        w.bool(self.parallel);
         w.tag(SEC_SMS);
         w.len(self.sms.len());
         for sm in &self.sms {
@@ -933,7 +865,6 @@ impl System {
         r.tag(SEC_CLOCK, "clock")?;
         self.now = r.u64()?;
         self.skip = r.bool()?;
-        self.parallel = r.bool()?;
         r.tag(SEC_SMS, "sms")?;
         expect("SMs", self.sms.len(), r.len()?)?;
         for sm in &mut self.sms {
@@ -1373,49 +1304,26 @@ impl FabricCtx for System {
         // `note_skipped` path instead of a full tick. Same conservative
         // horizon contract as stage-level skipping, at member granularity.
         let skip = self.skip;
-        // Race detection (NDP_RACE=1): bracket each member loop with an
-        // epoch and mark which member is ticking on this thread, so the
-        // controller's recording hooks can attribute every shared access.
-        // `race_on` is false on the default path — zero cost disarmed.
-        let race_on = self.race.is_some();
         match comp {
             Comp::Sms => {
-                if let Some(r) = &self.race {
-                    r.begin_members("tick:sms", false, now);
-                }
-                for (i, sm) in self.sms.iter_mut().enumerate() {
+                for sm in &mut self.sms {
                     if skip && sm.next_work_at(now).is_none_or(|c| c > now) {
                         sm.note_skipped(1);
                     } else {
-                        if race_on {
-                            footprint::set_accessor("sm", i);
-                        }
                         sm.tick(now, &mut self.ctrl);
                     }
                 }
-                if race_on {
-                    footprint::clear_accessor();
-                }
             }
             Comp::Slices => {
-                if let Some(r) = &self.race {
-                    r.begin_members("tick:slices", false, now);
-                }
-                for (i, s) in self.slices.iter_mut().enumerate() {
+                for s in &mut self.slices {
                     if skip && Component::next_work_at(s, now).is_none_or(|c| c > now) {
                         Component::note_skipped(s, 1);
                         continue;
-                    }
-                    if race_on {
-                        footprint::set_accessor("l2_slice", i);
                     }
                     Component::tick(s, now);
                     for (block, hit) in s.block_events.drain(..) {
                         self.ctrl.note_l2_event(block, hit);
                     }
-                }
-                if race_on {
-                    footprint::clear_accessor();
                 }
             }
             Comp::UpLinks => {
@@ -1427,49 +1335,12 @@ impl FabricCtx for System {
                     }
                 }
             }
-            // Stack interiors (and NSUs, below) are independent between
-            // fabric barriers: each owns its vaults/slots outright and all
-            // cross-component traffic rides fabric edges, so ticking them
-            // on scoped threads is deterministic by construction. The
-            // ISSUE sketched this with rayon; the offline build has no
-            // rayon, so `std::thread::scope` (stable std) stands in.
             Comp::Stacks => {
-                let work_now =
-                    |st: &HmcStack| !skip || Component::next_work_at(st, now) == Some(now);
-                let par = self.parallel && self.stacks.iter().filter(|s| s.busy()).count() >= 2;
-                if let Some(r) = &self.race {
-                    r.begin_members("tick:stacks", par, now);
-                }
-                if par {
-                    std::thread::scope(|sc| {
-                        for (i, st) in self.stacks.iter_mut().enumerate() {
-                            if work_now(st) {
-                                sc.spawn(move || {
-                                    // Accessor marks are thread-local and
-                                    // die with the scoped thread.
-                                    if race_on {
-                                        footprint::set_accessor("stack", i);
-                                    }
-                                    Component::tick(st, now)
-                                });
-                            } else {
-                                Component::note_skipped(st, 1);
-                            }
-                        }
-                    });
-                } else {
-                    for (i, st) in self.stacks.iter_mut().enumerate() {
-                        if work_now(st) {
-                            if race_on {
-                                footprint::set_accessor("stack", i);
-                            }
-                            Component::tick(st, now);
-                        } else {
-                            Component::note_skipped(st, 1);
-                        }
-                    }
-                    if race_on {
-                        footprint::clear_accessor();
+                for st in &mut self.stacks {
+                    if !skip || Component::next_work_at(st, now) == Some(now) {
+                        Component::tick(st, now);
+                    } else {
+                        Component::note_skipped(st, 1);
                     }
                 }
             }
@@ -1478,42 +1349,14 @@ impl FabricCtx for System {
                 // `Comp::Nsus` only runs on open NSU-clock cycles, so the
                 // member-level probe is in the NSU's own domain: delta 0 =
                 // work on this open cycle.
-                let work_now = |n: &Nsu| !skip || n.next_work_delta() == Some(0);
-                let par = self.parallel && self.nsus.iter().filter(|n| n.busy()).count() >= 2;
-                if let Some(r) = &self.race {
-                    r.begin_members("tick:nsus", par, now);
-                }
-                if par {
-                    std::thread::scope(|sc| {
-                        for (i, n) in self.nsus.iter_mut().enumerate() {
-                            if work_now(n) {
-                                sc.spawn(move || {
-                                    if race_on {
-                                        footprint::set_accessor("nsu", i);
-                                    }
-                                    Component::tick(n, now)
-                                });
-                            } else {
-                                // Inherent method: replays the NSU clock and
-                                // occupancy accounting (the Component default
-                                // is a no-op).
-                                n.note_skipped(1);
-                            }
-                        }
-                    });
-                } else {
-                    for (i, n) in self.nsus.iter_mut().enumerate() {
-                        if work_now(n) {
-                            if race_on {
-                                footprint::set_accessor("nsu", i);
-                            }
-                            Component::tick(n, now);
-                        } else {
-                            n.note_skipped(1);
-                        }
-                    }
-                    if race_on {
-                        footprint::clear_accessor();
+                for n in &mut self.nsus {
+                    if !skip || n.next_work_delta() == Some(0) {
+                        Component::tick(n, now);
+                    } else {
+                        // Inherent method: replays the NSU clock and
+                        // occupancy accounting (the Component default is a
+                        // no-op).
+                        n.note_skipped(1);
                     }
                 }
             }

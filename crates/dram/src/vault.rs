@@ -61,11 +61,6 @@ pub struct VaultController<T> {
 }
 
 impl<T> VaultController<T> {
-    /// Per-tick shared-state footprint: a vault touches only its own
-    /// queue, banks, and bus — parallel-eligible inside its enclosing
-    /// stack's tick (DESIGN.md §16).
-    pub const FOOTPRINT: ndp_common::footprint::Footprint = ndp_common::footprint::Footprint::EMPTY;
-
     pub fn new(cfg: &HmcConfig) -> Self {
         VaultController {
             queue: Vec::with_capacity(cfg.vault_queue),

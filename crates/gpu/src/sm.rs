@@ -666,25 +666,6 @@ impl Sm {
         }
     }
 
-    /// Per-tick shared-state footprint: everything an SM's tick touches
-    /// through the shared [`NdpEnv`] controller. ndp-lint's
-    /// parallel-safety pass reasons from this list (a write here is what
-    /// keeps `tick:sms` sequential), and the `NDP_RACE=1` detector
-    /// validates it — an env call recording a resource outside this list
-    /// is a typed `UndeclaredAccess` (DESIGN.md §16). Write membership
-    /// implies read permission.
-    pub const FOOTPRINT: ndp_common::footprint::Footprint = ndp_common::footprint::Footprint {
-        reads: &[],
-        writes: &[
-            ndp_common::footprint::res::CTRL_CREDITS,
-            ndp_common::footprint::res::CTRL_DECISIONS,
-            ndp_common::footprint::res::CTRL_BLOCK_STATS,
-            ndp_common::footprint::res::CTRL_HILL_CLIMB,
-            ndp_common::footprint::res::CTRL_WTA_INFLIGHT,
-            ndp_common::footprint::res::CTRL_RO_CACHE,
-        ],
-    };
-
     /// Internal structures whose updates can create work for a future tick.
     /// ndp-lint's quiescence pass cross-checks this list against the wake
     /// sources declared on the `tick:sms` skip spec: forgetting to declare

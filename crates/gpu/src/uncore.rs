@@ -46,15 +46,6 @@ pub struct L2Slice {
 }
 
 impl L2Slice {
-    /// Per-tick shared-state footprint: a slice's cache and queues are
-    /// private, but the block events it emits are folded into the shared
-    /// controller's per-block statistics inside the `tick:slices` member
-    /// loop — a shared write that serializes the stage (DESIGN.md §16).
-    pub const FOOTPRINT: ndp_common::footprint::Footprint = ndp_common::footprint::Footprint {
-        reads: &[],
-        writes: &[ndp_common::footprint::res::CTRL_BLOCK_STATS],
-    };
-
     pub fn new(id: u8, cfg: &SystemConfig) -> Self {
         let slice_bytes = cfg.gpu.l2_bytes / cfg.l2_slices();
         L2Slice {

@@ -90,13 +90,6 @@ impl HmcStack {
         }
     }
 
-    /// Per-tick shared-state footprint: a stack tick touches only its own
-    /// logic layer and vault interiors (the enclosed `VaultController`s
-    /// declare the same empty footprint), never the shared controller —
-    /// what certifies the `NDP_PARALLEL` `tick:stacks` leg conflict-free
-    /// by construction (DESIGN.md §16).
-    pub const FOOTPRINT: ndp_common::footprint::Footprint = ndp_common::footprint::Footprint::EMPTY;
-
     /// Internal wake sources the quiescence horizon must observe — lint's
     /// skip-spec cross-check for `tick:stacks` (see `Sm::WAKE_SOURCES`).
     pub const WAKE_SOURCES: &'static [&'static str] = &[

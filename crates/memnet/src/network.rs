@@ -19,10 +19,6 @@ pub struct MemNetwork {
 }
 
 impl MemNetwork {
-    /// Per-tick shared-state footprint: the network touches only its own
-    /// links and delivery queues (DESIGN.md §16).
-    pub const FOOTPRINT: ndp_common::footprint::Footprint = ndp_common::footprint::Footprint::EMPTY;
-
     pub fn new(
         nodes: usize,
         bytes_per_cycle: f64,

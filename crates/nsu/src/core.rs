@@ -77,13 +77,6 @@ pub struct Nsu {
 }
 
 impl Nsu {
-    /// Per-tick shared-state footprint: an NSU tick reads and writes only
-    /// its own slots/buffers and out-ports (credit *returns* are messages
-    /// drained later by the fabric owner, not direct pool writes) — what
-    /// certifies the `NDP_PARALLEL` `tick:nsus` leg conflict-free by
-    /// construction (DESIGN.md §16).
-    pub const FOOTPRINT: ndp_common::footprint::Footprint = ndp_common::footprint::Footprint::EMPTY;
-
     pub fn new(id: HmcId, cfg: &SystemConfig, blocks: Arc<Vec<OffloadBlock>>) -> Self {
         let pc_to_block = blocks.iter().map(|b| (b.nsu_pc, b.id as u16)).collect();
         Nsu {

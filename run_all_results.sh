@@ -41,8 +41,5 @@ done
 NDP_PERF=1 ./target/release/obs_report > $R/perf_report.txt 2>&1
 # Core throughput baseline for regression gating (BENCH_core.json).
 ./target/release/bench_baseline --out $R/BENCH_core.json > $R/bench_baseline.txt 2>&1
-# Per-stage shared-state footprint report: which controller fields keep
-# tick:sms sequential, and which stages are parallel-safe (DESIGN.md §16).
-./target/release/ndp_lint --quiet --footprint-report $R/parallel_footprint.txt
 ./target/release/make_report
 echo ALL_DONE

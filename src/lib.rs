@@ -51,7 +51,6 @@ pub mod prelude {
     pub use ndp_common::config::{OffloadPolicy, SystemConfig};
     pub use ndp_common::error::SimError;
     pub use ndp_common::fault::{FaultConfig, FaultStats};
-    pub use ndp_common::footprint::RaceDetector;
     pub use ndp_common::obs::{Obs, ObsConfig, ObsReport, PerfConfig, PerfReport};
     pub use ndp_common::watchdog::StallReport;
     pub use ndp_compiler::{compile, CompilerConfig};

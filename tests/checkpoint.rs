@@ -2,7 +2,7 @@
 //!
 //! The contract under test: **a resumed run is byte-identical to an
 //! uninterrupted one**. For every workload, snapshot cycle, execution mode
-//! (per-cycle, event-driven, parallel) and fault schedule, snapshotting at
+//! (per-cycle, event-driven) and fault schedule, snapshotting at
 //! cycle N, dropping the live system, restoring from the serialized bytes
 //! and running to completion must produce exactly the `{:#?}` rendering an
 //! uninterrupted run produces. And the flip side: corrupted, truncated,
@@ -28,10 +28,9 @@ fn scale() -> Scale {
 enum Mode {
     PerCycle,
     Event,
-    Parallel,
 }
 
-const MODES: [Mode; 3] = [Mode::PerCycle, Mode::Event, Mode::Parallel];
+const MODES: [Mode; 2] = [Mode::PerCycle, Mode::Event];
 
 fn small_ndp() -> SystemConfig {
     let mut cfg = SystemConfig::naive_ndp();
@@ -54,20 +53,7 @@ fn delay_faults() -> FaultConfig {
 fn fresh(cfg: &SystemConfig, w: Workload, mode: Mode, faults: Option<FaultConfig>) -> System {
     let p = w.build(&scale());
     let mut sys = System::new(cfg.clone(), &p);
-    match mode {
-        Mode::PerCycle => {
-            sys.set_skip(false);
-            sys.set_parallel(false);
-        }
-        Mode::Event => {
-            sys.set_skip(true);
-            sys.set_parallel(false);
-        }
-        Mode::Parallel => {
-            sys.set_skip(true);
-            sys.set_parallel(true);
-        }
-    }
+    sys.set_skip(matches!(mode, Mode::Event));
     if let Some(f) = faults {
         sys.inject_faults(f);
     }
@@ -134,9 +120,9 @@ fn resume_is_byte_identical_for_all_workloads() {
     }
 }
 
-/// All three execution modes agree with each other *and* survive a
-/// mid-run snapshot: the golden is taken per-cycle, the resumes run
-/// per-cycle, event-driven, and parallel.
+/// Both execution modes agree with each other *and* survive a mid-run
+/// snapshot: the golden is taken per-cycle, the resumes run per-cycle and
+/// event-driven.
 #[test]
 fn resume_is_byte_identical_across_execution_modes() {
     let cfg = small_ndp();
@@ -156,7 +142,7 @@ fn resume_is_byte_identical_under_seeded_faults() {
     let cfg = small_ndp();
     let faults = Some(delay_faults());
     for w in [Workload::Vadd, Workload::Bfs] {
-        for mode in [Mode::Event, Mode::Parallel] {
+        for mode in MODES {
             let (gold, cycles) = golden(&cfg, w, mode, faults);
             for frac in [4u64, 2] {
                 assert_resume_equivalent(&cfg, w, mode, faults, (cycles / frac).max(1), &gold);
@@ -285,15 +271,20 @@ fn truncations_are_rejected() {
     assert_eq!(expect_rejection(&cfg, w, &long), "length");
 }
 
-/// A future (or past) schema version is refused by name, before any
-/// payload decoding happens.
+/// A future or past schema version is refused by name, before any payload
+/// decoding happens: a previous-version image is not misdecoded.
 #[test]
 fn schema_version_bump_is_rejected() {
     let cfg = small_ndp();
     let w = Workload::Vadd;
-    let mut bytes = snapshot_bytes(&cfg, w);
-    bytes[8] = bytes[8].wrapping_add(1); // schema u32 follows the u64 magic
-    assert_eq!(expect_rejection(&cfg, w, &bytes), "schema");
+    let pristine = snapshot_bytes(&cfg, w);
+    let current = checkpoint::SCHEMA_VERSION;
+    for schema in [current - 1, current + 1] {
+        let mut bytes = pristine.clone();
+        // The schema u32 follows the u64 magic.
+        bytes[8..12].copy_from_slice(&schema.to_le_bytes());
+        assert_eq!(expect_rejection(&cfg, w, &bytes), "schema", "v{schema}");
+    }
 }
 
 /// A schema-1 image — the layout with an FNV-1a payload checksum — is

@@ -1,50 +1,41 @@
 //! Differential equivalence for the event-driven core (DESIGN.md §12).
 //!
-//! Quiescence-aware stage skipping, next-event time jumps, and parallel
-//! stack ticking are *execution strategies*, not model changes: a skipping
-//! (or parallel) run must produce byte-for-byte the same `RunResult` as an
-//! exhaustive per-cycle run — same cycle count, same stall statistics,
-//! same byte totals, same fault outcomes. These tests pin that contract
-//! across every workload, both bench scales, and a fault-injection seed.
+//! Quiescence-aware stage skipping and next-event time jumps are
+//! *execution strategies*, not model changes: a skipping run must produce
+//! byte-for-byte the same `RunResult` as an exhaustive per-cycle run —
+//! same cycle count, same stall statistics, same byte totals, same fault
+//! outcomes. These tests pin that contract across every workload, both
+//! bench scales, and a fault-injection seed.
 //!
-//! Modes are selected with [`System::set_skip`] / [`System::set_parallel`]
-//! / [`System::set_race`] rather than `NDP_NO_SKIP` / `NDP_PARALLEL` /
-//! `NDP_RACE`: env vars are process-global and tests run concurrently.
+//! Modes are selected with [`System::set_skip`] rather than `NDP_NO_SKIP`:
+//! env vars are process-global and tests run concurrently.
 
 use standardized_ndp::prelude::*;
 
 const MAX: u64 = 30_000_000;
 
-#[derive(Clone, Copy)]
-struct Mode {
+fn run_mode(
+    cfg: &SystemConfig,
+    w: Workload,
+    scale: &Scale,
+    num_sms: usize,
     skip: bool,
-    parallel: bool,
-}
-
-fn run_mode(cfg: &SystemConfig, w: Workload, scale: &Scale, num_sms: usize, m: Mode) -> RunResult {
+) -> RunResult {
     let mut cfg = cfg.clone();
     cfg.gpu.num_sms = num_sms;
     let p = w.build(scale);
     let mut sys = System::new(cfg, &p);
-    sys.set_skip(m.skip);
-    sys.set_parallel(m.parallel);
+    sys.set_skip(skip);
     let r = sys.run(MAX).expect("no protocol violation");
     assert!(!r.timed_out, "{} timed out", w.name());
     r
 }
 
-fn assert_equivalent(cfg: &SystemConfig, w: Workload, scale: &Scale, num_sms: usize, m: Mode) {
-    let base = run_mode(
-        cfg,
-        w,
-        scale,
-        num_sms,
-        Mode {
-            skip: false,
-            parallel: false,
-        },
-    );
-    let alt = run_mode(cfg, w, scale, num_sms, m);
+/// Per-cycle (skip off) and event-driven (skip on) runs must agree byte
+/// for byte.
+fn assert_equivalent(cfg: &SystemConfig, w: Workload, scale: &Scale, num_sms: usize) {
+    let base = run_mode(cfg, w, scale, num_sms, false);
+    let alt = run_mode(cfg, w, scale, num_sms, true);
     assert_eq!(base.cycles, alt.cycles, "{}: cycle count drifted", w.name());
     assert_eq!(
         format!("{base:#?}"),
@@ -69,16 +60,7 @@ const SCALE: Scale = Scale {
 #[test]
 fn skip_equivalence_all_workloads_small() {
     for w in WORKLOADS {
-        assert_equivalent(
-            &SystemConfig::ndp_dynamic_cache(),
-            w,
-            &SMALL,
-            8,
-            Mode {
-                skip: true,
-                parallel: false,
-            },
-        );
+        assert_equivalent(&SystemConfig::ndp_dynamic_cache(), w, &SMALL, 8);
     }
 }
 
@@ -87,16 +69,7 @@ fn skip_equivalence_all_workloads_small() {
 #[test]
 fn skip_equivalence_all_workloads_scale() {
     for w in WORKLOADS {
-        assert_equivalent(
-            &SystemConfig::ndp_dynamic_cache(),
-            w,
-            &SCALE,
-            16,
-            Mode {
-                skip: true,
-                parallel: false,
-            },
-        );
+        assert_equivalent(&SystemConfig::ndp_dynamic_cache(), w, &SCALE, 16);
     }
 }
 
@@ -106,79 +79,8 @@ fn skip_equivalence_all_workloads_scale() {
 fn skip_equivalence_other_configs() {
     for cfg in [SystemConfig::baseline(), SystemConfig::naive_ndp()] {
         for w in [Workload::Vadd, Workload::Bfs, Workload::Bprop] {
-            assert_equivalent(
-                &cfg,
-                w,
-                &SMALL,
-                8,
-                Mode {
-                    skip: true,
-                    parallel: false,
-                },
-            );
+            assert_equivalent(&cfg, w, &SMALL, 8);
         }
-    }
-}
-
-/// Parallel stack/NSU ticking (with skipping also on, the shipped
-/// combination) must be byte-identical to the serial per-cycle run.
-#[test]
-fn parallel_equivalence() {
-    for w in [Workload::Vadd, Workload::Bfs, Workload::Kmn] {
-        assert_equivalent(
-            &SystemConfig::ndp_dynamic_cache(),
-            w,
-            &SMALL,
-            8,
-            Mode {
-                skip: true,
-                parallel: true,
-            },
-        );
-    }
-}
-
-/// The NDP_RACE leg of the matrix: every workload runs the shipped
-/// parallel combination with the shared-state race detector armed. Three
-/// contracts at once — (1) the detector is read-only (byte-identical
-/// `RunResult` vs the plain per-cycle run), (2) the threaded stack/NSU
-/// stages are race-free in practice (the run completes instead of
-/// returning `SimError::DataRace`), and (3) the footprint declarations
-/// are complete (no `UndeclaredAccess`, with the detector demonstrably
-/// engaged on every workload).
-#[test]
-fn race_detector_parallel_equivalence_all_workloads() {
-    for w in WORKLOADS {
-        let base = run_mode(
-            &SystemConfig::ndp_dynamic_cache(),
-            w,
-            &SMALL,
-            8,
-            Mode {
-                skip: false,
-                parallel: false,
-            },
-        );
-        let mut cfg = SystemConfig::ndp_dynamic_cache();
-        cfg.gpu.num_sms = 8;
-        let p = w.build(&SMALL);
-        let mut sys = System::new(cfg, &p);
-        sys.set_skip(true);
-        sys.set_parallel(true);
-        sys.set_race(true);
-        let race = sys.race_handle().expect("detector armed");
-        let r = sys
-            .run(MAX)
-            .unwrap_or_else(|e| panic!("{}: race leg failed: {e}", w.name()));
-        assert!(!r.timed_out, "{} timed out", w.name());
-        assert_eq!(
-            format!("{base:#?}"),
-            format!("{r:#?}"),
-            "{}: armed race detector changed simulation output",
-            w.name()
-        );
-        let (accesses, _) = race.stats();
-        assert!(accesses > 0, "{}: detector never engaged", w.name());
     }
 }
 
@@ -189,16 +91,15 @@ fn race_detector_parallel_equivalence_all_workloads() {
 /// Two seeds: a delay-only schedule (protocol-transparent, the run drains
 /// and the full `RunResult` including fault stats must be byte-identical)
 /// and a drop/duplicate schedule (the protocol engine is *expected* to
-/// object — but it must object identically in every mode).
+/// object — but it must object identically in both modes).
 #[test]
 fn fault_seed_equivalence() {
-    let outcome = |faults: FaultConfig, skip: bool, parallel: bool| {
+    let outcome = |faults: FaultConfig, skip: bool| {
         let mut cfg = SystemConfig::ndp_dynamic_cache();
         cfg.gpu.num_sms = 8;
         let p = Workload::Vadd.build(&SMALL);
         let mut sys = System::new(cfg, &p);
         sys.set_skip(skip);
-        sys.set_parallel(parallel);
         sys.inject_faults(faults);
         match sys.run(MAX) {
             Ok(r) => format!("OK\n{r:#?}"),
@@ -212,7 +113,7 @@ fn fault_seed_equivalence() {
         delay_cycles: 64,
         ..Default::default()
     };
-    let base = outcome(delays, false, false);
+    let base = outcome(delays, false);
     assert!(
         base.starts_with("OK") && base.contains("delay_holds"),
         "delay-only schedule must drain cleanly with faults recorded"
@@ -223,17 +124,10 @@ fn fault_seed_equivalence() {
         dup_prob: 0.005,
         ..Default::default()
     };
-    let lossy_base = outcome(lossy, false, false);
-    for (skip, parallel) in [(true, false), (true, true)] {
-        assert_eq!(
-            base,
-            outcome(delays, skip, parallel),
-            "delayed run diverged (skip={skip} parallel={parallel})"
-        );
-        assert_eq!(
-            lossy_base,
-            outcome(lossy, skip, parallel),
-            "lossy run outcome diverged (skip={skip} parallel={parallel})"
-        );
-    }
+    assert_eq!(base, outcome(delays, true), "delayed run diverged");
+    assert_eq!(
+        outcome(lossy, false),
+        outcome(lossy, true),
+        "lossy run outcome diverged"
+    );
 }

@@ -165,136 +165,6 @@ fn dropped_credit_release_site_is_caught() {
     );
 }
 
-// ---------------------------------- mutation: shared-state footprints
-
-#[test]
-fn dropped_footprint_declaration_is_caught_by_member_name() {
-    // An SM class that stopped declaring its controller footprint blinds
-    // the parallel-safety pass to exactly the accesses that keep tick:sms
-    // sequential — the lint must name the member and its stage.
-    let mut g = fabric_graph(&SystemConfig::ndp_dynamic());
-    assert!(g.remove_footprint("sm"), "footprint exists before removal");
-    let diags = g.check();
-    assert!(
-        diags.iter().any(|d| d.check == "footprint"
-            && d.detail.contains("\"sm\"")
-            && d.detail.contains("tick:sms")),
-        "no footprint diagnostic in {diags:?}"
-    );
-}
-
-#[test]
-fn shared_write_on_the_parallel_leg_is_caught() {
-    // If the threaded stack stage ever grew a shared write, the lint must
-    // refuse the graph before the runtime can race.
-    let mut g = fabric_graph(&SystemConfig::ndp_dynamic());
-    g.footprints
-        .iter_mut()
-        .find(|f| f.node == "stack")
-        .expect("stack declares a footprint")
-        .writes
-        .push("ctrl.credits");
-    let diags = g.check();
-    assert!(
-        diags.iter().any(|d| d.check == "parallel-safety"
-            && d.detail.contains("tick:stacks")
-            && d.detail.contains("ctrl.credits")),
-        "no parallel-safety diagnostic in {diags:?}"
-    );
-}
-
-// ----------------------------- dynamic side: the NDP_RACE=1 detector
-
-/// A small dynamic-policy system with the race detector armed (via the
-/// setter — tests run concurrently, so the process-global `NDP_RACE`
-/// environment variable is off limits here).
-fn race_armed_system() -> System {
-    let mut cfg = SystemConfig::ndp_dynamic();
-    cfg.gpu.num_sms = 4;
-    // Enough CTAs that several SMs drive the shared controller (tiny()
-    // is a single CTA — one SM can't conflict with itself).
-    let scale = Scale {
-        warps: 64,
-        iters: 4,
-    };
-    let mut sys = System::new(cfg, &Workload::Vadd.build(&scale));
-    sys.set_race(true);
-    sys
-}
-
-#[test]
-fn undeclared_controller_access_is_caught_by_resource_name() {
-    // Satellite check: an access the footprints don't declare must
-    // surface as a typed UndeclaredAccess naming the resource — this is
-    // what makes the static declarations trustworthy.
-    let mut sys = race_armed_system();
-    sys.ctrl.debug_record_undeclared(true);
-    let err = sys
-        .run(1_000_000)
-        .expect_err("shadow access must fail the run");
-    match &err {
-        SimError::UndeclaredAccess {
-            resource, accessor, ..
-        } => {
-            assert_eq!(resource, "ctrl.shadow");
-            assert!(accessor.starts_with("sm["), "accessor: {accessor}");
-        }
-        other => panic!("expected UndeclaredAccess, got {other:?}"),
-    }
-    assert!(err.to_string().contains("outside its declared"));
-}
-
-#[test]
-fn forced_parallel_sms_trip_a_data_race_on_the_controller() {
-    // The deterministic demonstration of why tick:sms is serialized:
-    // treat it as a run-spanning parallel region and the very first
-    // cross-SM controller access pair becomes a typed DataRace.
-    let mut sys = race_armed_system();
-    sys.debug_force_race_parallel("tick:sms");
-    let err = sys
-        .run(1_000_000)
-        .expect_err("cross-SM controller sharing must race");
-    match &err {
-        SimError::DataRace {
-            stage,
-            resource,
-            first,
-            second,
-            ..
-        } => {
-            assert_eq!(*stage, "tick:sms");
-            assert!(resource.starts_with("ctrl."), "resource: {resource}");
-            assert!(first.starts_with("sm["), "first: {first}");
-            assert!(second.starts_with("sm["), "second: {second}");
-        }
-        other => panic!("expected DataRace, got {other:?}"),
-    }
-}
-
-#[test]
-fn clean_run_with_detector_armed_records_and_passes() {
-    // Sequential stages conflict without racing: the armed detector must
-    // stay silent, while its stats prove it was engaged and show the
-    // controller conflicts that block parallel tick:sms.
-    let sys = race_armed_system();
-    let race = sys.race_handle().expect("detector armed");
-    let r = sys.run(1_000_000).expect("clean run");
-    assert!(!r.timed_out);
-    let (accesses, would_conflict) = race.stats();
-    assert!(accesses > 0, "detector saw no accesses");
-    assert!(
-        would_conflict > 0,
-        "VADD on 4 SMs must show cross-SM controller conflicts"
-    );
-    assert!(
-        race.conflict_sites()
-            .iter()
-            .any(|(stage, res, _)| *stage == "tick:sms" && res.starts_with("ctrl.")),
-        "conflict sites: {:?}",
-        race.conflict_sites()
-    );
-}
-
 // --------------------------------------- construction surfaces the findings
 
 #[test]
