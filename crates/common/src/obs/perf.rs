@@ -43,8 +43,11 @@ use crate::ids::Cycle;
 /// `invocations + gated + skipped == cycles`. v3 added
 /// `sm_ready_occupancy` — per-SM mean ready-set size from the ready-set
 /// scheduler (DESIGN.md §15), the direct measure of how much issue-scan
-/// work each invoked cycle actually holds.
-pub const PERF_SCHEMA_VERSION: u32 = 3;
+/// work each invoked cycle actually holds. v4 added per-SM
+/// `sm_structural_retries` and `sm_memo_answers`: issue attempts a full
+/// MSHR table or output queue refused, and how many of those the
+/// blocked-verdict memo answered without re-running the issue path.
+pub const PERF_SCHEMA_VERSION: u32 = 4;
 
 /// Profiling knobs. `Default` is fully disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -381,6 +384,8 @@ impl Perf {
             stages,
             heartbeats: self.heartbeats.iter().copied().collect(),
             sm_ready_occupancy: Vec::new(),
+            sm_structural_retries: Vec::new(),
+            sm_memo_answers: Vec::new(),
         }
     }
 }
@@ -434,6 +439,15 @@ pub struct PerfReport {
     /// has no SMs or profiling predates v3.
     #[serde(default)]
     pub sm_ready_occupancy: Vec<f64>,
+    /// Per SM: issue attempts refused because the MSHR table or the output
+    /// queue lacked room (the per-visit cost a blocked warp pays, beside
+    /// the scan cost `sm_ready_occupancy` measures). Empty before v4.
+    #[serde(default)]
+    pub sm_structural_retries: Vec<u64>,
+    /// Per SM: how many of those refusals the blocked-verdict memo
+    /// answered in O(1). Empty before v4.
+    #[serde(default)]
+    pub sm_memo_answers: Vec<u64>,
 }
 
 impl PerfReport {
@@ -487,6 +501,26 @@ impl PerfReport {
             out.push_str(&format!(
                 "sm ready-set occupancy: mean {mean:.2} warps over {n} SMs (max {max:.2}) \
                  per invoked issue cycle\n"
+            ));
+        }
+        if !self.sm_structural_retries.is_empty() {
+            let retries: u64 = self.sm_structural_retries.iter().sum();
+            let answers: u64 = self.sm_memo_answers.iter().sum();
+            let max = self
+                .sm_structural_retries
+                .iter()
+                .max()
+                .copied()
+                .unwrap_or(0);
+            out.push_str(&format!(
+                "sm structural retries: {retries} over {} SMs (max {max}), {answers} \
+                 ({:.1}%) answered by the blocked-verdict memo\n",
+                self.sm_structural_retries.len(),
+                if retries > 0 {
+                    answers as f64 * 100.0 / retries as f64
+                } else {
+                    0.0
+                }
             ));
         }
         if let Some(hb) = self.heartbeats.last() {
@@ -652,19 +686,33 @@ mod tests {
         p.stage(1, StageOutcome::Routed(2));
         let mut r = p.report(1);
         r.sm_ready_occupancy = vec![1.5, 0.25];
+        r.sm_structural_retries = vec![40, 0];
+        r.sm_memo_answers = vec![30, 0];
         assert_eq!(r.schema_version, PERF_SCHEMA_VERSION);
         let json = serde_json::to_string(&r).unwrap();
-        assert!(json.contains("\"schema_version\":3"));
+        assert!(json.contains("\"schema_version\":4"));
         let back: PerfReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.stages.len(), 3);
         assert_eq!(back.sm_ready_occupancy, vec![1.5, 0.25]);
+        assert_eq!(back.sm_structural_retries, vec![40, 0]);
+        assert_eq!(back.sm_memo_answers, vec![30, 0]);
+        let table = r.table_text();
+        assert!(table.contains("ready-set occupancy"), "{table}");
         assert!(
-            r.table_text().contains("ready-set occupancy"),
-            "{}",
-            r.table_text()
+            table.contains("structural retries: 40 over 2 SMs (max 40), 30 (75.0%) answered"),
+            "{table}"
         );
-        // v2 reports (no occupancy field) still deserialize.
-        let v2 = json.replace(",\"sm_ready_occupancy\":[1.5,0.25]", "");
+        // v3 reports (no retry counts) and v2 reports (no occupancy either)
+        // still deserialize.
+        let v3 = json.replace(
+            ",\"sm_structural_retries\":[40,0],\"sm_memo_answers\":[30,0]",
+            "",
+        );
+        assert_ne!(v3, json);
+        let old: PerfReport = serde_json::from_str(&v3).unwrap();
+        assert!(old.sm_structural_retries.is_empty() && old.sm_memo_answers.is_empty());
+        let v2 = v3.replace(",\"sm_ready_occupancy\":[1.5,0.25]", "");
+        assert_ne!(v2, v3);
         let old: PerfReport = serde_json::from_str(&v2).unwrap();
         assert!(old.sm_ready_occupancy.is_empty());
     }

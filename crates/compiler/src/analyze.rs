@@ -54,6 +54,10 @@ pub struct CompiledKernel {
     /// For each item index: the block that *starts* there (where the GPU
     /// executes `OFLD.BEG`).
     pub block_starting_at: Vec<Option<u16>>,
+    /// For each block: `(n_loads, n_stores)`, the NSU buffer entries one
+    /// instance reserves. Counted once here: the SM asks on every
+    /// reservation retry.
+    pub block_io: Vec<(usize, usize)>,
 }
 
 impl CompiledKernel {
@@ -234,11 +238,13 @@ pub fn compile(program: &Program, cfg: &CompilerConfig) -> CompiledKernel {
         }
     }
 
+    let block_io = blocks.iter().map(|b| (b.n_loads(), b.n_stores())).collect();
     CompiledKernel {
         program: program.clone(),
         blocks,
         role_map,
         block_starting_at,
+        block_io,
     }
 }
 

@@ -627,6 +627,8 @@ impl System {
         if self.perf.is_on() {
             let mut perf = self.perf.report(self.now);
             perf.sm_ready_occupancy = self.sms.iter().map(|sm| sm.ready_occupancy()).collect();
+            (perf.sm_structural_retries, perf.sm_memo_answers) =
+                self.sms.iter().map(|sm| sm.structural_retries()).unzip();
             r.perf = Some(perf);
         }
         r

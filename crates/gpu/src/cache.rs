@@ -37,6 +37,13 @@ pub struct Cache<W> {
     mshrs: HashMap<u64, Vec<W>>,
     mshr_capacity: usize,
     use_clock: u64,
+    /// Bumped whenever line residency or MSHR occupancy may have changed
+    /// (MSHR allocation, `fill`, `invalidate`, `restore`): a verdict
+    /// computed from `contains` and `mshr_used` holds while it is equal.
+    epoch: u64,
+    /// Test-only fault: `fill` leaves `epoch` alone, so memos keyed on it
+    /// go stale (the oracle in `Sm::check_blocked_memos` must notice).
+    pub(crate) sabotage_skip_fill_epoch: bool,
     pub stats: CacheStats,
 }
 
@@ -63,6 +70,8 @@ impl<W> Cache<W> {
             mshrs: HashMap::new(),
             mshr_capacity: mshrs,
             use_clock: 0,
+            epoch: 0,
+            sabotage_skip_fill_epoch: false,
             stats: CacheStats::default(),
         }
     }
@@ -102,12 +111,16 @@ impl<W> Cache<W> {
             return Probe::MshrFull;
         }
         self.mshrs.insert(line_addr, vec![waiter]);
+        self.epoch += 1;
         Probe::MissNew
     }
 
     /// Install a fetched line and return the waiters to wake.
     pub fn fill(&mut self, line_addr: u64) -> Vec<W> {
         self.use_clock += 1;
+        if !self.sabotage_skip_fill_epoch {
+            self.epoch += 1;
+        }
         let (set, tag) = self.index(line_addr);
         if !self.sets[set].iter().any(|l| l.valid && l.tag == tag) {
             // Evict LRU.
@@ -137,6 +150,7 @@ impl<W> Cache<W> {
 
     /// Invalidate a line (NSU write coherence, §4.2).
     pub fn invalidate(&mut self, line_addr: u64) {
+        self.epoch += 1;
         let (set, tag) = self.index(line_addr);
         if let Some(l) = self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag) {
             l.valid = false;
@@ -152,6 +166,12 @@ impl<W> Cache<W> {
     /// MSHR table capacity.
     pub fn mshr_capacity(&self) -> usize {
         self.mshr_capacity
+    }
+
+    /// Residency/MSHR change counter (see the field). Not serialized: a
+    /// restored cache starts a new epoch, and memos do not survive restore.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Checkpoint the tag array, MSHR table (sorted by line address for
@@ -196,6 +216,7 @@ impl<W> Cache<W> {
         r: &mut ndp_common::snap::SnapReader<'_>,
         waiter: impl Fn(&mut ndp_common::snap::SnapReader<'_>) -> Result<W, ndp_common::snap::SnapError>,
     ) -> Result<(), ndp_common::snap::SnapError> {
+        self.epoch += 1;
         let nsets = r.len()?;
         if nsets != self.sets.len() {
             return Err(ndp_common::snap::SnapError(format!(
@@ -316,6 +337,36 @@ mod tests {
         // Invalidating an absent line is a no-op.
         c.invalidate(0x7000);
         assert_eq!(c.stats.invalidations, 1);
+    }
+
+    #[test]
+    fn epoch_moves_exactly_when_residency_or_mshrs_may_change() {
+        let mut c = cache();
+        let mut last = c.epoch();
+        let mut moved = |c: &Cache<u32>| {
+            let m = c.epoch() != last;
+            last = c.epoch();
+            m
+        };
+        assert_eq!(c.probe_read(0x1000, 1), Probe::MissNew);
+        assert!(moved(&c), "MSHR allocation");
+        assert_eq!(c.probe_read(0x1000, 2), Probe::MissMerged);
+        assert!(!moved(&c), "merged miss");
+        assert!(!c.contains(0x1000));
+        c.write_touch(0x1000);
+        assert!(!moved(&c), "lookups and write-through");
+        c.fill(0x1000);
+        assert!(moved(&c), "fill");
+        assert_eq!(c.probe_read(0x1000, 3), Probe::Hit);
+        assert!(!moved(&c), "hit");
+        for i in 1..5u64 {
+            c.probe_read(0x1000 + i * 128, 0);
+        }
+        moved(&c);
+        assert_eq!(c.probe_read(0x9000, 9), Probe::MshrFull);
+        assert!(!moved(&c), "refused miss");
+        c.invalidate(0x1000);
+        assert!(moved(&c), "invalidate");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! (operand not ready), WarpIdle (no runnable instruction — empty slots,
 //! barriers, or warps blocked on offload acknowledgments).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use ndp_common::bitset::BitSet;
@@ -144,7 +144,35 @@ struct WarpSlot {
     /// Memoized coalesce result for the current memory instruction
     /// (`(executed-count, accesses)`), so repeated issue attempts under
     /// structural stalls don't redo the 32-lane grouping.
-    coalesced: Option<(u64, Arc<Vec<LineAccess>>)>,
+    coalesced: Option<(u64, Vec<LineAccess>)>,
+    /// Why the instruction at `executed`-count `.0` last failed a
+    /// structural check. While it still holds, a retry answers from it
+    /// instead of re-running the issue path (DESIGN.md §15). Not
+    /// serialized: `None` at spawn and restore.
+    blocked: Option<(u64, Blocked)>,
+}
+
+/// A structural verdict that repeats until something it depends on
+/// changes. Only loads and stores through the local L1 path get one.
+#[derive(Debug, Clone, Copy)]
+enum Blocked {
+    /// A local global load needed more MSHRs than were free. Depends only
+    /// on L1 residency and MSHR occupancy, i.e. on the L1 epoch.
+    Mshr { l1_epoch: u64 },
+    /// A local global load (`nap`) or store needed `need` output-queue
+    /// entries that were not free.
+    OutQueue { need: usize, nap: bool },
+}
+
+impl Blocked {
+    /// Loads back off for a few cycles after a refusal; stores retry at
+    /// once.
+    fn naps(self) -> bool {
+        match self {
+            Blocked::Mshr { .. } => true,
+            Blocked::OutQueue { nap, .. } => nap,
+        }
+    }
 }
 
 /// In-flight offload bookkeeping (per SM).
@@ -203,15 +231,12 @@ pub struct Sm {
     /// Issue candidates: occupied slots in `Ready` state whose `wake_at` has
     /// passed (the wake-wheel moves slots here as their cycle arrives).
     sched_ready: BitSet,
-    /// Dependency-stalled `Ready` slots keyed by their wake cycle. Slots
-    /// parked at `Cycle::MAX` (awaiting a load fill) are in neither
-    /// structure — `deliver` wakes them directly.
-    wake_wheel: BTreeMap<Cycle, Vec<usize>>,
-    /// Drained wheel buckets kept for reuse. A napping warp cycles through
-    /// attach → service every few cycles; recycling the bucket vectors
-    /// keeps that loop off the allocator. Pure cache: never serialized,
-    /// never observed.
-    wheel_pool: Vec<Vec<usize>>,
+    /// Dependency-stalled `Ready` slots as `(wake cycle, slot)`, sorted by
+    /// descending wake cycle so the next due entry is `last()`; one entry
+    /// per slot at most, so never more than `warp_slots`. Slots parked at
+    /// `Cycle::MAX` (awaiting a load fill) are in neither structure —
+    /// `deliver` wakes them directly.
+    wake_wheel: Vec<(Cycle, usize)>,
     /// Cycle of the most recent `service_wheel` call; every wheel key is
     /// strictly greater except transiently after a checkpoint restore.
     wheel_serviced_at: Cycle,
@@ -231,10 +256,19 @@ pub struct Sm {
     /// size over them (not model state; excluded from snapshots).
     ready_ticks: u64,
     ready_sum: u64,
+    /// Perf-report surface: issue attempts refused by a full MSHR table or
+    /// output queue, and how many of them the blocked-verdict memo
+    /// answered (not model state; excluded from snapshots).
+    structural_retries: u64,
+    memo_answers: u64,
     /// Test-only fault: drop wake-wheel insertions so the consistency
     /// checker's detection of a missing update site can be demonstrated.
     #[doc(hidden)]
     pub sabotage_drop_wheel: bool,
+    /// Test-only fault: L1 fills leave the cache epoch unchanged, so MSHR
+    /// memos go stale and `check_blocked_memos` must say so.
+    #[doc(hidden)]
+    pub sabotage_skip_fill_epoch: bool,
 }
 
 impl Sm {
@@ -265,8 +299,7 @@ impl Sm {
             block_instrs: 0,
             warps_retired: 0,
             sched_ready: BitSet::new(cfg.warp_slots),
-            wake_wheel: BTreeMap::new(),
-            wheel_pool: Vec::new(),
+            wake_wheel: Vec::new(),
             wheel_serviced_at: 0,
             retry_set: BitSet::new(cfg.warp_slots),
             promote_set: BitSet::new(cfg.warp_slots),
@@ -274,7 +307,10 @@ impl Sm {
             staged_total: 0,
             ready_ticks: 0,
             ready_sum: 0,
+            structural_retries: 0,
+            memo_answers: 0,
             sabotage_drop_wheel: false,
+            sabotage_skip_fill_epoch: false,
             kernel,
         }
     }
@@ -466,7 +502,7 @@ impl Sm {
                 for _ in 0..r.len()? {
                     accesses.push(LineAccess::restore(r)?);
                 }
-                Some((execd, Arc::new(accesses)))
+                Some((execd, accesses))
             } else {
                 None
             };
@@ -479,6 +515,7 @@ impl Sm {
                 local_block: has_local.then_some(local_raw),
                 wake_at,
                 coalesced,
+                blocked: None,
             });
         }
         let ni = r.len()?;
@@ -567,7 +604,7 @@ impl Sm {
                 if slot.wake_at == 0 {
                     self.sched_ready.insert(i);
                 } else if slot.wake_at != Cycle::MAX {
-                    self.wake_wheel.entry(slot.wake_at).or_default().push(i);
+                    self.wake_wheel.push((slot.wake_at, i));
                 }
             }
             if let Some(ofl) = slot.ofl.as_ref() {
@@ -580,6 +617,8 @@ impl Sm {
                 }
             }
         }
+        self.wake_wheel
+            .sort_unstable_by_key(|&(at, _)| std::cmp::Reverse(at));
     }
 
     /// Move every wheel slot whose wake cycle has arrived into the ready
@@ -587,27 +626,21 @@ impl Sm {
     /// keeps the system from jumping past the earliest wheel key.
     fn service_wheel(&mut self, now: Cycle) {
         self.wheel_serviced_at = now;
-        while let Some((&at, _)) = self.wake_wheel.first_key_value() {
+        while let Some(&(at, i)) = self.wake_wheel.last() {
             if at > now {
                 break;
             }
-            let mut bucket = self.wake_wheel.remove(&at).expect("peeked above");
-            for &i in &bucket {
-                debug_assert!(
-                    matches!(&self.slots[i], Some(s) if s.state == WState::Ready),
-                    "wake-wheel slot must still be Ready"
-                );
-                self.sched_ready.insert(i);
-            }
-            if self.wheel_pool.len() < 32 {
-                bucket.clear();
-                self.wheel_pool.push(bucket);
-            }
+            self.wake_wheel.pop();
+            debug_assert!(
+                matches!(&self.slots[i], Some(s) if s.state == WState::Ready),
+                "wake-wheel slot must still be Ready"
+            );
+            self.sched_ready.insert(i);
         }
     }
 
     /// Remove slot `i` from whichever issue structure holds it (ready set
-    /// or wake-wheel bucket at its current `wake_at`). Call *before*
+    /// or wake-wheel entry at its current `wake_at`). Call *before*
     /// mutating the slot's `state` or `wake_at`.
     fn sched_detach(&mut self, i: usize) {
         if self.sched_ready.remove(i) {
@@ -620,14 +653,13 @@ impl Sm {
         if at == Cycle::MAX {
             return;
         }
-        if let Some(bucket) = self.wake_wheel.get_mut(&at) {
-            bucket.retain(|&j| j != i);
-            if bucket.is_empty() {
-                let bucket = self.wake_wheel.remove(&at).expect("present");
-                if self.wheel_pool.len() < 32 {
-                    self.wheel_pool.push(bucket);
-                }
-            }
+        let from = self.wake_wheel.partition_point(|&(c, _)| c > at);
+        if let Some(k) = self.wake_wheel[from..]
+            .iter()
+            .take_while(|&&(c, _)| c == at)
+            .position(|&(_, j)| j == i)
+        {
+            self.wake_wheel.remove(from + k);
         }
     }
 
@@ -645,11 +677,8 @@ impl Sm {
         if at <= now {
             self.sched_ready.insert(i);
         } else if at != Cycle::MAX && !self.sabotage_drop_wheel {
-            let pool = &mut self.wheel_pool;
-            self.wake_wheel
-                .entry(at)
-                .or_insert_with(|| pool.pop().unwrap_or_default())
-                .push(i);
+            let pos = self.wake_wheel.partition_point(|&(c, _)| c >= at);
+            self.wake_wheel.insert(pos, (at, i));
         }
     }
 
@@ -716,15 +745,15 @@ impl Sm {
     pub fn check_sched_consistency(&self) -> Result<(), String> {
         let mut ready_count = 0usize;
         let mut staged = 0usize;
-        let in_wheel =
-            |i: usize, at: Cycle| self.wake_wheel.get(&at).is_some_and(|b| b.contains(&i));
-        let in_any_bucket = |i: usize| self.wake_wheel.values().any(|b| b.contains(&i));
+        let mut wheel_count = 0usize;
+        let in_wheel = |i: usize, at: Cycle| self.wake_wheel.contains(&(at, i));
+        let in_wheel_at_all = |i: usize| self.wake_wheel.iter().any(|&(_, j)| j == i);
         for (i, s) in self.slots.iter().enumerate() {
             let Some(slot) = s else {
                 if self.sched_ready.contains(i) {
                     return Err(format!("sched_ready contains empty slot {i}"));
                 }
-                if in_any_bucket(i) {
+                if in_wheel_at_all(i) {
                     return Err(format!("wake_wheel contains empty slot {i}"));
                 }
                 if self.retry_set.contains(i) {
@@ -744,7 +773,7 @@ impl Sm {
                             slot.wake_at
                         ));
                     }
-                    if in_any_bucket(i) {
+                    if in_wheel_at_all(i) {
                         return Err(format!("wake_wheel stale entry for ready slot {i}"));
                     }
                 } else if slot.wake_at != Cycle::MAX {
@@ -761,11 +790,12 @@ impl Sm {
                             slot.wake_at
                         ));
                     }
+                    wheel_count += 1;
                 } else {
                     if self.sched_ready.contains(i) {
                         return Err(format!("sched_ready contains load-parked slot {i}"));
                     }
-                    if in_any_bucket(i) {
+                    if in_wheel_at_all(i) {
                         return Err(format!("wake_wheel contains load-parked slot {i}"));
                     }
                 }
@@ -773,7 +803,7 @@ impl Sm {
                 if self.sched_ready.contains(i) {
                     return Err(format!("sched_ready contains non-Ready slot {i}"));
                 }
-                if in_any_bucket(i) {
+                if in_wheel_at_all(i) {
                     return Err(format!("wake_wheel contains non-Ready slot {i}"));
                 }
             }
@@ -807,11 +837,101 @@ impl Sm {
                 self.staged_total
             ));
         }
-        if let Some(b) = self.wake_wheel.values().find(|b| b.is_empty()) {
-            let _ = b;
-            return Err("wake_wheel holds an empty bucket".to_string());
+        if self.wake_wheel.len() != wheel_count {
+            return Err(format!(
+                "wake_wheel holds {} entries, rescan says {wheel_count}",
+                self.wake_wheel.len()
+            ));
+        }
+        if !self.wake_wheel.windows(2).all(|w| w[0].0 >= w[1].0) {
+            return Err("wake_wheel is not sorted by descending wake cycle".to_string());
         }
         Ok(())
+    }
+
+    /// For every slot whose blocked-verdict memo would answer now,
+    /// recompute the verdict from scratch — operand readiness, output-queue
+    /// room, and L1 residency of the memoized accesses against MSHR
+    /// headroom — and name the slot and the reason on a disagreement. The
+    /// oracle the scheduler property test runs every cycle, and the one
+    /// the stale-epoch mutation test must trip.
+    #[doc(hidden)]
+    pub fn check_blocked_memos(&self, now: Cycle) -> Result<(), String> {
+        for (i, s) in self.slots.iter().enumerate() {
+            let Some(slot) = s else { continue };
+            let Some((executed, b)) = slot.blocked else {
+                continue;
+            };
+            if executed != slot.exec.executed || !self.still_blocked(b) {
+                continue;
+            }
+            if slot.state != WState::Ready {
+                return Err(format!("slot {i}: {b:?} memo held by a non-Ready warp"));
+            }
+            let at = self.operands_ready_at(i, slot.exec.pc());
+            if at > now {
+                return Err(format!(
+                    "slot {i}: {b:?} memo would answer, but an operand is not ready \
+                     until cycle {at} (now {now})"
+                ));
+            }
+            let Some((key, accesses)) = &slot.coalesced else {
+                return Err(format!("slot {i}: {b:?} memo without coalesced accesses"));
+            };
+            if *key != executed {
+                return Err(format!(
+                    "slot {i}: {b:?} memo at instruction {executed}, accesses at {key}"
+                ));
+            }
+            match b {
+                Blocked::OutQueue { need, .. } => {
+                    if need != accesses.len()
+                        || self.out.len() + accesses.len() <= self.cfg.out_capacity
+                    {
+                        return Err(format!(
+                            "slot {i}: {b:?} memo, but {} lines fit in the output queue \
+                             ({} of {} used)",
+                            accesses.len(),
+                            self.out.len(),
+                            self.cfg.out_capacity
+                        ));
+                    }
+                }
+                Blocked::Mshr { l1_epoch } => {
+                    let headroom = self
+                        .l1d
+                        .mshr_capacity()
+                        .saturating_sub(self.l1d.mshr_used());
+                    let new_lines = accesses
+                        .iter()
+                        .filter(|a| !self.l1d.contains(a.line))
+                        .count();
+                    if new_lines <= headroom {
+                        return Err(format!(
+                            "slot {i}: MSHR memo at l1_epoch {l1_epoch} is stale: {new_lines} \
+                             new lines fit in {headroom} free MSHRs"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Does a blocked verdict still hold? The MSHR verdict is a function
+    /// of L1 residency and MSHR occupancy, which change only when the L1
+    /// epoch does; the output-queue verdict is rechecked directly.
+    fn still_blocked(&self, b: Blocked) -> bool {
+        match b {
+            Blocked::Mshr { l1_epoch } => l1_epoch == self.l1d.epoch(),
+            Blocked::OutQueue { need, .. } => self.out.len() + need > self.cfg.out_capacity,
+        }
+    }
+
+    /// Attempts a full MSHR table or output queue refused, and how many of
+    /// them the blocked-verdict memo answered (perf-report surface).
+    pub fn structural_retries(&self) -> (u64, u64) {
+        (self.structural_retries, self.memo_answers)
     }
 
     /// Mean ready-set size per invoked issue cycle (perf-report surface).
@@ -844,6 +964,7 @@ impl Sm {
                     local_block: None,
                     wake_at: 0,
                     coalesced: None,
+                    blocked: None,
                 });
                 self.ready_state_count += 1;
                 self.sched_ready.insert(i);
@@ -872,8 +993,8 @@ impl Sm {
             let slot = self.slots[i].as_ref().expect("retry_set slot is resident");
             let ofl = slot.ofl.as_ref().expect("retry_set slot has offload ctx");
             let hmc = ofl.target.expect("retry_set slot has a target");
-            let b = self.kernel.block(ofl.block);
-            if env.try_reserve(hmc, b.n_loads(), b.n_stores()) {
+            let (n_loads, n_stores) = self.kernel.block_io[ofl.block as usize];
+            if env.try_reserve(hmc, n_loads, n_stores) {
                 let ofl = self.slots[i]
                     .as_mut()
                     .expect("checked")
@@ -991,10 +1112,23 @@ impl Sm {
         lsu_free: &mut usize,
         sfu_free: &mut usize,
     ) -> IssueResult {
-        let kernel = Arc::clone(&self.kernel);
-        let program = &kernel.program;
+        // A retry of an instruction a structural check refused, with
+        // nothing it depends on changed since: answer what the full path
+        // below would, without re-running it (DESIGN.md §15).
+        let slot = self.slots[slot_idx].as_ref().expect("checked");
+        if let Some((executed, b)) = slot.blocked {
+            if executed == slot.exec.executed && self.still_blocked(b) {
+                self.structural_retries += 1;
+                self.memo_answers += 1;
+                if *lsu_free > 0 && b.naps() {
+                    self.nap(now, slot_idx, now + 4);
+                }
+                return IssueResult::ExecBusy;
+            }
+        }
+
         let slot = self.slots[slot_idx].as_mut().expect("checked");
-        let step = slot.exec.current_lite(program);
+        let step = slot.exec.current_lite(&self.kernel.program);
 
         // Warp finished?
         if matches!(step, StepLite::Done) {
@@ -1005,11 +1139,11 @@ impl Sm {
 
         // Block-boundary bookkeeping: entering a block?
         if slot.ofl.is_none() && slot.local_block.is_none() {
-            if let Some(bid) = kernel.block_starting_at[idx] {
+            if let Some(bid) = self.kernel.block_starting_at[idx] {
                 if env.decide_offload(self.cfg.id, bid) {
                     let token = OffloadToken(((self.cfg.id as u64) << 40) | self.next_token);
                     self.next_token += 1;
-                    let b = kernel.block(bid);
+                    let b = self.kernel.block(bid);
                     let active = slot.exec.active.count_ones() as u8;
                     let cmd = Packet::new(
                         Node::Sm(self.cfg.id),
@@ -1026,8 +1160,8 @@ impl Sm {
                             regs_in: b.live_in.len() as u8,
                             active,
                             mask: slot.exec.active,
-                            n_loads: b.n_loads() as u8,
-                            n_stores: b.n_stores() as u8,
+                            n_loads: self.kernel.block_io[bid as usize].0 as u8,
+                            n_stores: self.kernel.block_io[bid as usize].1 as u8,
                         },
                     );
                     slot.ofl = Some(OflCtx {
@@ -1048,7 +1182,7 @@ impl Sm {
         let role = slot
             .ofl
             .as_ref()
-            .map(|o| kernel.block(o.block).role_of(idx))
+            .map(|o| self.kernel.block(o.block).role_of(idx))
             .unwrap_or(None);
 
         match step {
@@ -1057,7 +1191,7 @@ impl Sm {
                 // Barriers are outside offload blocks by construction.
                 slot.state = WState::Barrier;
                 let cta = slot.cta;
-                slot.exec.advance(program);
+                slot.exec.advance(&self.kernel.program);
                 self.sched_detach(slot_idx);
                 self.ready_state_count -= 1;
                 let arrived = self.barrier_arrived.entry(cta).or_insert(0);
@@ -1072,7 +1206,7 @@ impl Sm {
                 match role {
                     Some(InstrRole::AtNsu) => {
                         // NOP on the GPU: consumes an issue slot only.
-                        slot.exec.advance(program);
+                        slot.exec.advance(&self.kernel.program);
                         self.block_instrs += 1;
                         self.after_instr(now, slot_idx, idx, env);
                         IssueResult::Issued
@@ -1092,7 +1226,7 @@ impl Sm {
                         }
                         *unit -= 1;
                         let slot = self.slots[slot_idx].as_mut().expect("checked");
-                        slot.exec.advance(program);
+                        slot.exec.advance(&self.kernel.program);
                         slot.reg_ready[dst.0 as usize] = now + lat as Cycle;
                         if self.kernel.role_map[idx].is_some() {
                             self.block_instrs += 1;
@@ -1118,17 +1252,18 @@ impl Sm {
                     // Scratchpad/constant: fixed-latency on-chip access.
                     *lsu_free -= 1;
                     let slot = self.slots[slot_idx].as_mut().expect("checked");
-                    slot.exec.advance(program);
+                    slot.exec.advance(&self.kernel.program);
                     slot.reg_ready[dst.0 as usize] = now + self.cfg.shared_lat as Cycle;
                     self.after_instr(now, slot_idx, idx, env);
                     return IssueResult::Issued;
                 }
-                let accesses = self.coalesce_memo(slot_idx, addr);
+                let memo = self.take_coalesced(slot_idx, addr);
                 let r = if role == Some(InstrRole::Load) {
-                    self.issue_rdf(now, slot_idx, &accesses, env)
+                    self.issue_rdf(now, slot_idx, &memo.1, env)
                 } else {
-                    self.issue_local_load(now, slot_idx, idx, dst, &accesses, env)
+                    self.issue_local_load(now, slot_idx, idx, dst, &memo.1, env)
                 };
+                self.slots[slot_idx].as_mut().expect("checked").coalesced = Some(memo);
                 if matches!(r, IssueResult::Issued) {
                     *lsu_free -= 1;
                     self.after_instr(now, slot_idx, idx, env);
@@ -1145,16 +1280,17 @@ impl Sm {
                 if space != MemSpace::Global {
                     *lsu_free -= 1;
                     let slot = self.slots[slot_idx].as_mut().expect("checked");
-                    slot.exec.advance(program);
+                    slot.exec.advance(&self.kernel.program);
                     self.after_instr(now, slot_idx, idx, env);
                     return IssueResult::Issued;
                 }
-                let accesses = self.coalesce_memo(slot_idx, addr);
+                let memo = self.take_coalesced(slot_idx, addr);
                 let r = if role == Some(InstrRole::Store) {
-                    self.issue_wta(now, slot_idx, &accesses, env)
+                    self.issue_wta(now, slot_idx, &memo.1, env)
                 } else {
-                    self.issue_local_store(now, slot_idx, idx, &accesses)
+                    self.issue_local_store(now, slot_idx, idx, &memo.1)
                 };
+                self.slots[slot_idx].as_mut().expect("checked").coalesced = Some(memo);
                 if matches!(r, IssueResult::Issued) {
                     *lsu_free -= 1;
                     self.after_instr(now, slot_idx, idx, env);
@@ -1215,33 +1351,38 @@ impl Sm {
         self.sched_attach(slot_idx, now);
     }
 
+    /// A structural check refused the current instruction: count the
+    /// retry and remember the verdict for the next attempt.
+    fn refuse(&mut self, slot_idx: usize, why: Blocked) {
+        self.structural_retries += 1;
+        let slot = self.slots[slot_idx].as_mut().expect("checked");
+        slot.blocked = Some((slot.exec.executed, why));
+    }
+
     /// Coalesce with memoization keyed on the warp's dynamic instruction
     /// count (stable across repeated issue attempts of the same instr).
-    /// Returns a shared handle: `LineAccess` holds per-lane vectors, so a
-    /// deep clone per issue attempt is real allocator traffic on the
-    /// re-visit paths (a stalled warp retries the same instruction for
-    /// many cycles).
-    fn coalesce_memo(&mut self, slot_idx: usize, addr: Reg) -> Arc<Vec<LineAccess>> {
+    /// The memo moves out of the slot for the attempt; the caller puts it
+    /// back, so a stalled warp's retries neither regroup 32 lanes nor
+    /// copy the per-lane vectors.
+    fn take_coalesced(&mut self, slot_idx: usize, addr: Reg) -> (u64, Vec<LineAccess>) {
         let word = self.cfg.word_bytes;
         let line = self.cfg.line_bytes;
         let slot = self.slots[slot_idx].as_mut().expect("checked");
         let key = slot.exec.executed;
-        if let Some((k, a)) = &slot.coalesced {
-            if *k == key {
-                return Arc::clone(a);
-            }
+        match slot.coalesced.take() {
+            Some(memo) if memo.0 == key => memo,
+            _ => (
+                key,
+                coalesce(slot.exec.reg(addr), slot.exec.active, word, line),
+            ),
         }
-        let a = Arc::new(coalesce(slot.exec.reg(addr), slot.exec.active, word, line));
-        slot.coalesced = Some((key, Arc::clone(&a)));
-        a
     }
 
     /// Post-issue bookkeeping: block exit detection.
     fn after_instr(&mut self, now: Cycle, slot_idx: usize, idx: usize, env: &mut dyn NdpEnv) {
-        let kernel = Arc::clone(&self.kernel);
         let slot = self.slots[slot_idx].as_mut().expect("checked");
         if let Some(ofl) = slot.ofl.as_ref() {
-            let b = kernel.block(ofl.block);
+            let b = self.kernel.block(ofl.block);
             if idx + 1 == b.end {
                 // OFLD.END: block until the ACK returns (§4.1.1). The warp
                 // can context-switch — other warps keep the SM busy.
@@ -1260,7 +1401,7 @@ impl Sm {
                 let _ = now;
             }
         } else if let Some(bid) = slot.local_block {
-            let b = kernel.block(bid);
+            let b = self.kernel.block(bid);
             if idx + 1 == b.end {
                 slot.local_block = None;
                 env.note_block_done(bid, (b.end - b.start) as u32);
@@ -1278,7 +1419,6 @@ impl Sm {
         accesses: &[LineAccess],
         env: &mut dyn NdpEnv,
     ) -> IssueResult {
-        let kernel = Arc::clone(&self.kernel);
         let n = accesses.len();
         // Pending-buffer capacity check (shared across warps).
         if !self
@@ -1359,7 +1499,7 @@ impl Sm {
         env.note_block_lines(ofl_block(self.slots[slot_idx].as_ref()), n as u32, l1_hits);
         let added = staged.len();
         let slot = self.slots[slot_idx].as_mut().expect("checked");
-        slot.exec.advance(&kernel.program);
+        slot.exec.advance(&self.kernel.program);
         let ofl = slot.ofl.as_mut().expect("ctx");
         ofl.staged.extend(staged);
         let promotable = ofl.reserved;
@@ -1379,7 +1519,6 @@ impl Sm {
         accesses: &[LineAccess],
         env: &mut dyn NdpEnv,
     ) -> IssueResult {
-        let kernel = Arc::clone(&self.kernel);
         let n = accesses.len();
         if !self
             .buffers
@@ -1415,7 +1554,7 @@ impl Sm {
                 },
             ));
         }
-        slot.exec.advance(&kernel.program);
+        slot.exec.advance(&self.kernel.program);
         self.staged_total += n;
         if newly_targeted {
             self.retry_set.insert(slot_idx);
@@ -1440,17 +1579,21 @@ impl Sm {
         accesses: &[LineAccess],
         env: &mut dyn NdpEnv,
     ) -> IssueResult {
-        let kernel = Arc::clone(&self.kernel);
         // Structural checks first: we need room for worst-case misses.
         let misses_possible = accesses.len();
         if self.out.len() + misses_possible > self.cfg.out_capacity {
+            self.refuse(
+                slot_idx,
+                Blocked::OutQueue {
+                    need: misses_possible,
+                    nap: true,
+                },
+            );
             self.nap(now, slot_idx, now + 4);
             return IssueResult::ExecBusy;
         }
         // MSHR room for new misses (conservative: a resident probe per
-        // line). Stop counting as soon as the headroom is exceeded — under
-        // MSHR backpressure this is the hottest no-issue path in the SM,
-        // and each napping warp re-runs the check every few cycles.
+        // line). Stop counting as soon as the headroom is exceeded.
         let headroom = self
             .l1d
             .mshr_capacity()
@@ -1460,6 +1603,8 @@ impl Sm {
             if !self.l1d.contains(a.line) {
                 new_lines += 1;
                 if new_lines > headroom {
+                    let l1_epoch = self.l1d.epoch();
+                    self.refuse(slot_idx, Blocked::Mshr { l1_epoch });
                     self.nap(now, slot_idx, now + 4);
                     return IssueResult::ExecBusy;
                 }
@@ -1485,7 +1630,7 @@ impl Sm {
                             addr: access.line,
                             bytes: self.cfg.line_bytes,
                             tag: ((self.cfg.id as u64) << 40) | track_id,
-                            block: kernel.role_map[idx]
+                            block: self.kernel.role_map[idx]
                                 .map(|(b, _)| b)
                                 .unwrap_or(ndp_common::packet::NO_BLOCK),
                         },
@@ -1497,12 +1642,12 @@ impl Sm {
 
         // Per-block cache statistics also accumulate for non-offloaded
         // instances so the §7.3 gate can observe locality either way.
-        if let Some((bid, InstrRole::Load)) = kernel.role_map[idx] {
+        if let Some((bid, InstrRole::Load)) = self.kernel.role_map[idx] {
             env.note_block_lines(bid, n_lines, l1_hits);
         }
 
         let slot = self.slots[slot_idx].as_mut().expect("checked");
-        slot.exec.advance(&kernel.program);
+        slot.exec.advance(&self.kernel.program);
         if remaining == 0 {
             slot.reg_ready[dst.0 as usize] = now + self.cfg.l1_lat as Cycle;
         } else {
@@ -1518,7 +1663,7 @@ impl Sm {
                 },
             );
         }
-        if kernel.role_map[idx].is_some() {
+        if self.kernel.role_map[idx].is_some() {
             self.block_instrs += 1;
         }
         IssueResult::Issued
@@ -1532,8 +1677,14 @@ impl Sm {
         idx: usize,
         accesses: &[LineAccess],
     ) -> IssueResult {
-        let kernel = Arc::clone(&self.kernel);
         if self.out.len() + accesses.len() > self.cfg.out_capacity {
+            self.refuse(
+                slot_idx,
+                Blocked::OutQueue {
+                    need: accesses.len(),
+                    nap: false,
+                },
+            );
             return IssueResult::ExecBusy;
         }
         for access in accesses {
@@ -1550,8 +1701,8 @@ impl Sm {
             ));
         }
         let slot = self.slots[slot_idx].as_mut().expect("checked");
-        slot.exec.advance(&kernel.program);
-        if kernel.role_map[idx].is_some() {
+        slot.exec.advance(&self.kernel.program);
+        if self.kernel.role_map[idx].is_some() {
             self.block_instrs += 1;
         }
         IssueResult::Issued
@@ -1603,6 +1754,7 @@ impl Sm {
         match p.kind {
             PacketKind::ReadResp { addr, tag, .. } => {
                 let track_id = tag & 0xff_ffff_ffff;
+                self.l1d.sabotage_skip_fill_epoch = self.sabotage_skip_fill_epoch;
                 let waiters = self.l1d.fill(addr);
                 debug_assert!(waiters.contains(&track_id) || waiters.is_empty());
                 for w in waiters {
@@ -1614,6 +1766,10 @@ impl Sm {
                             if self.incarnation[slot_idx] == inc {
                                 if let Some(slot) = self.slots[slot_idx].as_mut() {
                                     slot.reg_ready[dst.0 as usize] = now + 2;
+                                    // A late fill (after a write-after-write)
+                                    // can un-ready an operand the memo saw
+                                    // ready.
+                                    slot.blocked = None;
                                 }
                                 self.wake_now(slot_idx);
                             }
@@ -1633,6 +1789,7 @@ impl Sm {
                     for r in &b.live_out {
                         slot.reg_ready[r.0 as usize] = now + 2;
                     }
+                    slot.blocked = None;
                     let leftover = slot.ofl.as_ref().map_or(0, |o| o.staged.len());
                     slot.ofl = None;
                     slot.state = WState::Ready;
@@ -1714,7 +1871,7 @@ impl Sm {
             return Some(now);
         }
         // `max(now)` covers not-yet-serviced keys right after a restore.
-        self.wake_wheel.keys().next().map(|&at| at.max(now))
+        self.wake_wheel.last().map(|&(at, _)| at.max(now))
     }
 
     /// Replay the issue-stall statistics an elided tick would have
@@ -1984,6 +2141,63 @@ mod tests {
             sm.tick(now, &mut env);
         }
         assert_eq!(sm.out.len(), 3, "CMD + RDF + WTA after grant");
+    }
+
+    #[test]
+    fn late_fill_after_write_after_write_clears_the_blocked_memo() {
+        // r1 is loaded, then overwritten by an ALU op while the load is
+        // outstanding (the scoreboard does not order writes), and the
+        // store through r1 is refused by the full output queue. The late
+        // fill marks r1 not ready again, so the memo must go: the store's
+        // next attempt is a dependency stall, not the memo's ExecBusy.
+        let mut p = Program::new("waw", 4);
+        let addr = |dst: u8, base: u64| {
+            Instr::alu3(
+                AluOp::IMad,
+                Reg(dst),
+                Operand::Tid,
+                Operand::Imm(4),
+                Operand::Imm(base),
+            )
+        };
+        p.items = vec![
+            Item::Op(addr(2, 0x10_0000)),
+            Item::Op(Instr::ld(Reg(1), Reg(2))),
+            Item::Op(addr(1, 0x20_0000)),
+            Item::Op(Instr::st(Reg(2), Reg(1))),
+        ];
+        let sys = SystemConfig::default();
+        let kernel = Arc::new(compile(&p, &CompilerConfig::default()));
+        let mut cfg = SmConfig::from_system(0, &sys);
+        cfg.out_capacity = 1;
+        let mut sm = Sm::new(cfg, &sys, kernel);
+        let mut env = MockEnv::new(false);
+        sm.assign_warp(0, u32::MAX, 0);
+        let mut now = 0;
+        while sm.slots[0].as_ref().is_none_or(|s| s.blocked.is_none()) {
+            assert!(now < 100, "the store was never refused");
+            sm.tick(now, &mut env);
+            now += 1;
+        }
+        // The load's request still fills the queue; answer it now.
+        let PacketKind::ReadReq { addr, tag, .. } = sm.out[0].kind else {
+            panic!("the load's request is queued");
+        };
+        let resp = PacketKind::ReadResp {
+            addr,
+            bytes: 128,
+            tag,
+        };
+        sm.deliver(
+            now,
+            Packet::new(Node::L2(0), Node::Sm(0), now, resp),
+            &mut env,
+        )
+        .unwrap();
+        sm.check_blocked_memos(now + 1).unwrap();
+        let dep_before = sm.stats.dependency_stall;
+        sm.tick(now + 1, &mut env);
+        assert_eq!(sm.stats.dependency_stall, dep_before + 1);
     }
 
     #[test]

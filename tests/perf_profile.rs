@@ -140,6 +140,21 @@ fn stage_counters_account_for_every_cycle() {
         perf.sm_ready_occupancy.iter().any(|&o| o > 0.0),
         "no SM ever had a ready warp"
     );
+    // Blocked-verdict memo telemetry: per SM, the memo's answers are a
+    // subset of the structural retries.
+    assert_eq!(perf.sm_structural_retries.len(), 8, "one entry per SM");
+    assert_eq!(perf.sm_memo_answers.len(), 8, "one entry per SM");
+    for (i, (&retries, &answers)) in perf
+        .sm_structural_retries
+        .iter()
+        .zip(&perf.sm_memo_answers)
+        .enumerate()
+    {
+        assert!(
+            answers <= retries,
+            "sm{i}: {answers} memo answers exceed {retries} structural retries"
+        );
+    }
 
     assert!(
         !perf.heartbeats.is_empty(),

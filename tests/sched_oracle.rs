@@ -9,6 +9,11 @@
 //! cycle**, diffs the incremental structures against a brute-force
 //! full-slot rescan (`check_sched_consistency`) and the O(1) horizon
 //! against the retired full-scan implementation (`next_work_at_oracle`).
+//!
+//! Small MSHR tables, small output queues and a drain of a random number
+//! of packets per cycle put warps under structural backpressure, so the
+//! blocked-verdict memos are recomputed from scratch every cycle too
+//! (`check_blocked_memos`).
 
 use proptest::prelude::*;
 use standardized_ndp::common::ids::{Node, OffloadId};
@@ -17,6 +22,7 @@ use standardized_ndp::common::SystemConfig;
 use standardized_ndp::compiler::{compile, CompilerConfig};
 use standardized_ndp::gpu::{NdpEnv, Sm, SmConfig};
 use standardized_ndp::workloads::{Scale, Workload, WORKLOADS};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Deterministic xorshift coin-flipper standing in for the offload
@@ -68,14 +74,102 @@ impl NdpEnv for RandEnv {
     fn note_wta_line(&mut self, _h: standardized_ndp::common::ids::HmcId) {}
 }
 
+/// Stand-in for the memory system and the NSUs: answers read requests
+/// and (unless dropped) offload commands after randomized delays; writes,
+/// RDF and WTA packets are sunk.
+struct Responder {
+    fill_delay: u64,
+    ack_delay: u64,
+    drop_ack_pct: u64,
+    /// `(due cycle, packet)` responses not yet delivered.
+    inbox: Vec<(u64, Packet)>,
+}
+
+impl Responder {
+    fn new(fill_delay: u64, ack_delay: u64, drop_ack_pct: u64) -> Self {
+        Responder {
+            fill_delay,
+            ack_delay,
+            drop_ack_pct,
+            inbox: Vec::new(),
+        }
+    }
+
+    /// Take up to `drain` packets out of `sm.out`, then deliver every
+    /// response due at `now`.
+    fn cycle(&mut self, sm: &mut Sm, env: &mut RandEnv, now: u64, drain: u64) {
+        for _ in 0..drain {
+            let Some(p) = sm.out.pop_front() else { break };
+            match p.kind {
+                PacketKind::ReadReq { addr, tag, .. } => {
+                    let d = 1 + env.next() % self.fill_delay.max(1);
+                    self.inbox.push((
+                        now + d,
+                        Packet::new(
+                            Node::L2(0),
+                            Node::Sm(0),
+                            now,
+                            PacketKind::ReadResp {
+                                addr,
+                                bytes: 128,
+                                tag,
+                            },
+                        ),
+                    ));
+                }
+                PacketKind::OffloadCmd { token, .. } if !env.flip(self.drop_ack_pct) => {
+                    let d = 1 + env.next() % self.ack_delay.max(1);
+                    self.inbox.push((
+                        now + d,
+                        Packet::new(
+                            Node::Nsu(0),
+                            Node::Sm(0),
+                            now,
+                            PacketKind::OffloadAck {
+                                token,
+                                id: OffloadId {
+                                    sm: 0,
+                                    warp: 0,
+                                    seq: 0,
+                                },
+                                regs_out: 0,
+                                active: 32,
+                                values: vec![],
+                            },
+                        ),
+                    ));
+                }
+                _ => {}
+            }
+        }
+        let mut due = Vec::new();
+        self.inbox.retain(|(at, p)| {
+            if *at <= now {
+                due.push(p.clone());
+                false
+            } else {
+                true
+            }
+        });
+        for p in due {
+            sm.deliver(now, p, env).expect("deliver");
+        }
+    }
+}
+
+/// Blocked-verdict memo answers summed over every case of the property
+/// below.
+static MEMO_ANSWERS: AtomicU64 = AtomicU64::new(0);
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random warp-state trajectories: the incremental scheduler state must
-    /// match a full-slot rescan after every single cycle, and the O(1)
-    /// horizon must equal the brute-force one at every query point.
-    #[test]
-    fn incremental_sched_matches_full_rescan(
+    /// match a full-slot rescan after every single cycle, the O(1)
+    /// horizon must equal the brute-force one at every query point, and
+    /// every memo that would answer must agree with a from-scratch
+    /// verdict.
+    fn sched_matches_rescan_under_backpressure(
         seed in any::<u64>(),
         wl_idx in 0usize..64,
         warps in 1u32..6,
@@ -85,21 +179,27 @@ proptest! {
         fill_delay in 1u64..40,
         ack_delay in 1u64..80,
         drop_ack_pct in 0u64..30,
+        mshrs in 1usize..6,
+        out_capacity in 4usize..40,
+        max_drain in 1u64..4,
     ) {
         let wl = WORKLOADS[wl_idx % WORKLOADS.len()];
         let program = wl.build(&Scale { warps, iters });
-        let sys = SystemConfig::default();
+        let mut sys = SystemConfig::default();
+        sys.gpu.l1d_mshrs = mshrs;
         let kernel = Arc::new(compile(&program, &CompilerConfig::default()));
-        let mut sm = Sm::new(SmConfig::from_system(0, &sys), &sys, kernel);
+        let mut cfg = SmConfig::from_system(0, &sys);
+        cfg.out_capacity = out_capacity;
+        let mut sm = Sm::new(cfg, &sys, kernel);
         let mut env = RandEnv::new(seed, offload_pct, reserve_pct);
         for w in 0..warps {
             sm.assign_warp(w, u32::MAX, w / 2);
         }
 
-        // (due_cycle, packet) responses synthesized from the SM's output.
-        let mut inbox: Vec<(u64, Packet)> = Vec::new();
+        let mut responder = Responder::new(fill_delay, ack_delay, drop_ack_pct);
         for now in 0..2_000u64 {
             sm.check_sched_consistency().unwrap_or_else(|e| panic!("{e}"));
+            sm.check_blocked_memos(now).unwrap_or_else(|e| panic!("{e}"));
             prop_assert_eq!(
                 sm.next_work_at(now),
                 sm.next_work_at_oracle(now),
@@ -107,57 +207,28 @@ proptest! {
                 now
             );
             sm.tick(now, &mut env);
-            // Answer the SM's requests after randomized delays.
-            while let Some(p) = sm.out.pop_front() {
-                match p.kind {
-                    PacketKind::ReadReq { addr, tag, .. } => {
-                        let d = 1 + env.next() % fill_delay.max(1);
-                        inbox.push((now + d, Packet::new(
-                            Node::L2(0),
-                            Node::Sm(0),
-                            now,
-                            PacketKind::ReadResp { addr, bytes: 128, tag },
-                        )));
-                    }
-                    PacketKind::OffloadCmd { token, .. } if !env.flip(drop_ack_pct) => {
-                        let d = 1 + env.next() % ack_delay.max(1);
-                        inbox.push((now + d, Packet::new(
-                            Node::Nsu(0),
-                            Node::Sm(0),
-                            now,
-                            PacketKind::OffloadAck {
-                                token,
-                                id: OffloadId { sm: 0, warp: 0, seq: 0 },
-                                regs_out: 0,
-                                active: 32,
-                                values: vec![],
-                            },
-                        )));
-                    }
-                    _ => {} // writes, RDF, WTA: sink
-                }
-            }
-            let due: Vec<Packet> = {
-                let mut due = Vec::new();
-                inbox.retain(|(at, p)| {
-                    if *at <= now {
-                        due.push(p.clone());
-                        false
-                    } else {
-                        true
-                    }
-                });
-                due
-            };
-            for p in due {
-                sm.deliver(now, p, &mut env).expect("deliver");
-            }
-            if sm.is_done() && inbox.is_empty() {
+            let drain = env.next() % (max_drain + 1);
+            responder.cycle(&mut sm, &mut env, now, drain);
+            if sm.is_done() && responder.inbox.is_empty() {
                 break;
             }
         }
         sm.check_sched_consistency().unwrap_or_else(|e| panic!("{e}"));
+        MEMO_ANSWERS.fetch_add(sm.structural_retries().1, Ordering::SeqCst);
     }
+}
+
+/// The property above, plus a guard that its backpressure axes still reach
+/// the memo: if no case ever had a retry answered from a memo, the
+/// per-cycle `check_blocked_memos` calls would be checking nothing.
+#[test]
+fn incremental_sched_matches_full_rescan() {
+    MEMO_ANSWERS.store(0, Ordering::SeqCst);
+    sched_matches_rescan_under_backpressure();
+    assert!(
+        MEMO_ANSWERS.load(Ordering::SeqCst) > 0,
+        "no blocked-verdict memo answered in any case"
+    );
 }
 
 /// Mutation test: disable one wake-wheel update site (via the test-only
@@ -184,4 +255,34 @@ fn dropped_wake_wheel_update_is_caught_by_name() {
         }
     }
     panic!("dropped wake-wheel update site was never caught");
+}
+
+/// Mutation test: L1 fills that leave the cache epoch unchanged make MSHR
+/// memos outlive the residency they were computed from. The memo oracle
+/// must report it, naming the stale epoch.
+#[test]
+fn stale_l1_epoch_is_caught_by_name() {
+    let program = Workload::Vadd.build(&Scale { warps: 4, iters: 2 });
+    let mut sys = SystemConfig::default();
+    sys.gpu.l1d_mshrs = 1;
+    let kernel = Arc::new(compile(&program, &CompilerConfig::default()));
+    let mut sm = Sm::new(SmConfig::from_system(0, &sys), &sys, kernel);
+    sm.sabotage_skip_fill_epoch = true;
+    let mut env = RandEnv::new(7, 0, 100);
+    for w in 0..4 {
+        sm.assign_warp(w, u32::MAX, w / 2);
+    }
+    let mut responder = Responder::new(8, 1, 0);
+    for now in 0..400 {
+        if let Err(msg) = sm.check_blocked_memos(now) {
+            assert!(
+                msg.contains("l1_epoch"),
+                "checker must name the stale epoch, got: {msg}"
+            );
+            return;
+        }
+        sm.tick(now, &mut env);
+        responder.cycle(&mut sm, &mut env, now, u64::MAX);
+    }
+    panic!("a fill that skipped the L1 epoch bump was never caught");
 }
