@@ -496,4 +496,52 @@ mod tests {
         );
         assert!((merged[0].wall_frac - 1.0).abs() < 1e-12);
     }
+
+    fn round_trip<T: Serialize + for<'a> Deserialize<'a>>(v: &T) -> T {
+        serde_json::from_str(&serde_json::to_string_pretty(v).expect("serialize")).expect("parse")
+    }
+
+    #[test]
+    fn documents_round_trip_through_serde_json() {
+        let mut e = entry("fig7_small", 1_249_999.5, 1_234_567);
+        e.ckpt_bytes = 262_144;
+        e.stage_idle = vec![StageIdle {
+            stage: "edge:sm_out".to_string(),
+            idle_frac: 0.25,
+            skip_frac: 0.5,
+            wall_frac: 0.125,
+        }];
+        let d = doc(vec![e]);
+        assert_eq!(round_trip(&d), d);
+        let o = check(
+            &d,
+            &doc(vec![entry("fig7_small", 2_000_000.0, 1_234_567)]),
+            0.15,
+        );
+        assert!(o.ok && !o.bootstrap, "{o:?}");
+        assert_eq!(round_trip(&o), o);
+    }
+
+    #[test]
+    fn malformed_input_is_an_error() {
+        for raw in ["{ \"entries\": [", "not json", "{} trailing"] {
+            assert!(serde_json::from_str::<BenchBaseline>(raw).is_err(), "{raw}");
+        }
+    }
+
+    /// The committed trajectory record parses with the same reader
+    /// `--check` uses.
+    #[test]
+    fn committed_baseline_parses() {
+        let raw = include_str!("../../../BENCH_core.json");
+        let d: BenchBaseline = serde_json::from_str(raw).expect("BENCH_core.json parses");
+        assert_eq!(d.schema_version, BENCH_SCHEMA_VERSION);
+        let small = d
+            .entries
+            .iter()
+            .find(|e| e.name == "fig7_small")
+            .expect("fig7_small entry");
+        assert_eq!(small.sim_cycles, 9216);
+        assert!(!small.stage_idle.is_empty());
+    }
 }

@@ -76,7 +76,7 @@ fn main() {
     match check_path {
         None => {
             let doc = measure_doc(&[fig7_small(), fig7_scale()]);
-            let json = ndp_bench::jsonio::baseline_to_json(&doc);
+            let json = serde_json::to_string_pretty(&doc).expect("serialize baseline");
             std::fs::write(&out_path, json + "\n").expect("write baseline");
             for e in &doc.entries {
                 println!(
@@ -102,11 +102,10 @@ fn main() {
                 eprintln!("error: cannot read baseline {path}: {e}");
                 std::process::exit(2);
             });
-            let base: BenchBaseline =
-                ndp_bench::jsonio::baseline_from_json(&raw).unwrap_or_else(|e| {
-                    eprintln!("error: cannot parse baseline {path}: {e}");
-                    std::process::exit(2);
-                });
+            let base: BenchBaseline = serde_json::from_str(&raw).unwrap_or_else(|e| {
+                eprintln!("error: cannot parse baseline {path}: {e}");
+                std::process::exit(2);
+            });
             if base.schema_version != BENCH_SCHEMA_VERSION {
                 eprintln!(
                     "error: baseline schema v{} != supported v{BENCH_SCHEMA_VERSION}",
@@ -119,7 +118,7 @@ fn main() {
             // smoke gate, and fig7_scale exists for local deep runs.
             let cur = measure_doc(&[fig7_small()]);
             let outcome = check(&base, &cur, tol);
-            let json = ndp_bench::jsonio::check_to_json(&outcome);
+            let json = serde_json::to_string_pretty(&outcome).expect("serialize check outcome");
             std::fs::write("BENCH_check.json", json + "\n").expect("write check outcome");
             if outcome.bootstrap {
                 eprintln!(

@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod jsonio;
 
 use ndp_core::experiments::{run_matrix, Matrix, DEFAULT_MAX_CYCLES};
 use ndp_core::result::RunResult;

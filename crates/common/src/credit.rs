@@ -6,6 +6,8 @@
 //! if all three classes have sufficient credits; the NSU returns credits
 //! (piggybacked on other packets, hence free on the wire) as entries drain.
 
+use crate::snap::{SnapError, SnapReader, SnapState, SnapWriter};
+
 /// A single credit pool with a hard capacity.
 #[derive(Debug, Clone, Copy)]
 pub struct CreditPool {
@@ -56,29 +58,6 @@ impl CreditPool {
         }
         self.available += n;
         true
-    }
-
-    /// Checkpoint the pool balance (capacity is config-derived and comes
-    /// from fresh construction on restore).
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.usize(self.available);
-    }
-
-    /// Overwrite the pool balance from a checkpoint stream. A balance above
-    /// the pool's capacity is structurally impossible and rejected.
-    pub fn restore(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        let available = r.usize()?;
-        if available > self.capacity {
-            return Err(crate::snap::SnapError(format!(
-                "credit balance {available} exceeds pool capacity {}",
-                self.capacity
-            )));
-        }
-        self.available = available;
-        Ok(())
     }
 
     /// Return `n` credits. Panics if that would exceed capacity — a protocol
@@ -138,24 +117,37 @@ impl NsuCredits {
         self.read_data.release(n_loads);
         self.write_addr.release(n_stores);
     }
+}
 
-    /// Checkpoint all three pool balances.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        self.cmd.snap(w);
-        self.read_data.snap(w);
-        self.write_addr.snap(w);
+/// The balance is the state; capacity comes from construction. A decoded
+/// balance above capacity is structurally impossible and rejected.
+impl SnapState for CreditPool {
+    fn snap(&self, w: &mut SnapWriter) {
+        let CreditPool {
+            available,
+            capacity: _,
+        } = self;
+        w.usize(*available);
     }
 
-    /// Overwrite all three pool balances from a checkpoint stream.
-    pub fn restore(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        self.cmd.restore(r)?;
-        self.read_data.restore(r)?;
-        self.write_addr.restore(r)
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let available = r.usize()?;
+        if available > self.capacity {
+            return Err(SnapError(format!(
+                "credit balance {available} exceeds pool capacity {}",
+                self.capacity
+            )));
+        }
+        self.available = available;
+        Ok(())
     }
 }
+
+crate::snap_state!(NsuCredits {
+    cmd,
+    read_data,
+    write_addr
+});
 
 #[cfg(test)]
 mod tests {

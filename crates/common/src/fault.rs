@@ -178,44 +178,25 @@ impl FaultInjector {
             InjectedFault::Held => self.stats.delay_holds += 1,
         }
     }
-
-    /// Checkpoint the schedule config and occurrence counters. Decisions
-    /// are pure functions of `(seed, edge, packet)`, so restoring these two
-    /// is enough to replay the remainder of a faulty run exactly.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.cfg.seed);
-        w.f64(self.cfg.drop_prob);
-        w.f64(self.cfg.dup_prob);
-        w.f64(self.cfg.delay_prob);
-        w.u64(self.cfg.delay_cycles);
-        w.bool(self.cfg.withhold_credits);
-        w.u64(self.stats.dropped);
-        w.u64(self.stats.duplicated);
-        w.u64(self.stats.delay_holds);
-        w.u64(self.stats.credits_withheld);
-    }
-
-    /// Rebuild an injector from a checkpoint stream.
-    pub fn restore(
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<FaultInjector, crate::snap::SnapError> {
-        let cfg = FaultConfig {
-            seed: r.u64()?,
-            drop_prob: r.f64()?,
-            dup_prob: r.f64()?,
-            delay_prob: r.f64()?,
-            delay_cycles: r.u64()?,
-            withhold_credits: r.bool()?,
-        };
-        let stats = FaultStats {
-            dropped: r.u64()?,
-            duplicated: r.u64()?,
-            delay_holds: r.u64()?,
-            credits_withheld: r.u64()?,
-        };
-        Ok(FaultInjector { cfg, stats })
-    }
 }
+
+crate::snap_value!(FaultConfig {
+    seed,
+    drop_prob,
+    dup_prob,
+    delay_prob,
+    delay_cycles,
+    withhold_credits,
+});
+crate::snap_value!(FaultStats {
+    dropped,
+    duplicated,
+    delay_holds,
+    credits_withheld,
+});
+// Decisions are pure functions of `(seed, edge, packet)`, so the schedule
+// and the occurrence counters replay the rest of a faulty run exactly.
+crate::snap_value!(FaultInjector { cfg, stats });
 
 #[cfg(test)]
 mod tests {

@@ -71,52 +71,19 @@ impl Node {
     pub fn on_gpu(&self) -> bool {
         matches!(self, Node::Sm(_) | Node::L2(_) | Node::BufMgr)
     }
-
-    /// Checkpoint encoding: discriminant byte + payload.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        match *self {
-            Node::Sm(i) => {
-                w.u8(0);
-                w.u16(i);
-            }
-            Node::L2(i) => {
-                w.u8(1);
-                w.u8(i);
-            }
-            Node::Hmc(i) => {
-                w.u8(2);
-                w.u8(i);
-            }
-            Node::Vault(h, v) => {
-                w.u8(3);
-                w.u8(h);
-                w.u8(v);
-            }
-            Node::Nsu(i) => {
-                w.u8(4);
-                w.u8(i);
-            }
-            Node::BufMgr => w.u8(5),
-        }
-    }
-
-    /// Checkpoint decoding counterpart of [`Node::snap`].
-    pub fn restore(r: &mut crate::snap::SnapReader<'_>) -> Result<Node, crate::snap::SnapError> {
-        Ok(match r.u8()? {
-            0 => Node::Sm(r.u16()?),
-            1 => Node::L2(r.u8()?),
-            2 => Node::Hmc(r.u8()?),
-            3 => Node::Vault(r.u8()?, r.u8()?),
-            4 => Node::Nsu(r.u8()?),
-            5 => Node::BufMgr,
-            d => {
-                return Err(crate::snap::SnapError(format!(
-                    "unknown Node discriminant {d}"
-                )))
-            }
-        })
-    }
 }
+
+crate::snap_value!(HmcId(u8));
+crate::snap_value!(OffloadId { sm, warp, seq });
+crate::snap_value!(OffloadToken(u64));
+crate::snap_value!(enum Node {
+    0 => Sm(i),
+    1 => L2(i),
+    2 => Hmc(i),
+    3 => Vault(h, v),
+    4 => Nsu(i),
+    5 => BufMgr,
+});
 
 #[cfg(test)]
 mod tests {

@@ -322,84 +322,6 @@ impl Invariants {
         .collect()
     }
 
-    /// Checkpoint the full engine: mode, counters, per-token lifecycle map
-    /// (sorted by token for byte-stable output), and recorded violations.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.bool(self.deep);
-        for c in [
-            self.cmd_issued,
-            self.cmd_at_nsu,
-            self.ack_emitted,
-            self.ack_delivered,
-            self.rdf_issued,
-            self.rdf_consumed,
-            self.wta_issued,
-            self.wta_consumed,
-            self.nsu_writes,
-            self.nsu_write_acks,
-            self.invals_delivered,
-        ] {
-            w.u64(c);
-        }
-        let mut toks: Vec<(u64, TokenPhase)> =
-            self.tokens.iter().map(|(&t, &ph)| (t, ph)).collect();
-        toks.sort_unstable_by_key(|&(t, _)| t);
-        w.len(toks.len());
-        for (t, ph) in toks {
-            w.u64(t);
-            w.u8(match ph {
-                TokenPhase::Issued => 0,
-                TokenPhase::AtNsu => 1,
-                TokenPhase::AckSent => 2,
-                TokenPhase::Done => 3,
-            });
-        }
-        w.len(self.violations.len());
-        for v in &self.violations {
-            w.str(v);
-        }
-    }
-
-    /// Overwrite the engine state from a checkpoint stream.
-    pub fn restore(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        self.deep = r.bool()?;
-        self.cmd_issued = r.u64()?;
-        self.cmd_at_nsu = r.u64()?;
-        self.ack_emitted = r.u64()?;
-        self.ack_delivered = r.u64()?;
-        self.rdf_issued = r.u64()?;
-        self.rdf_consumed = r.u64()?;
-        self.wta_issued = r.u64()?;
-        self.wta_consumed = r.u64()?;
-        self.nsu_writes = r.u64()?;
-        self.nsu_write_acks = r.u64()?;
-        self.invals_delivered = r.u64()?;
-        self.tokens.clear();
-        for _ in 0..r.len()? {
-            let t = r.u64()?;
-            let ph = match r.u8()? {
-                0 => TokenPhase::Issued,
-                1 => TokenPhase::AtNsu,
-                2 => TokenPhase::AckSent,
-                3 => TokenPhase::Done,
-                d => {
-                    return Err(crate::snap::SnapError(format!(
-                        "unknown TokenPhase discriminant {d}"
-                    )))
-                }
-            };
-            self.tokens.insert(t, ph);
-        }
-        self.violations.clear();
-        for _ in 0..r.len()? {
-            self.violations.push(r.str()?);
-        }
-        Ok(())
-    }
-
     /// Tokens not yet `Done`, with lifecycle state (deep mode only —
     /// empty otherwise). For stall reports.
     pub fn inflight_tokens(&self) -> Vec<TokenInFlight> {
@@ -416,6 +338,30 @@ impl Invariants {
         v
     }
 }
+
+crate::snap_value!(enum TokenPhase {
+    0 => Issued,
+    1 => AtNsu,
+    2 => AckSent,
+    3 => Done,
+});
+
+crate::snap_state!(Invariants {
+    deep,
+    cmd_issued,
+    cmd_at_nsu,
+    ack_emitted,
+    ack_delivered,
+    rdf_issued,
+    rdf_consumed,
+    wta_issued,
+    wta_consumed,
+    nsu_writes,
+    nsu_write_acks,
+    invals_delivered,
+    tokens,
+    violations,
+});
 
 #[cfg(test)]
 mod tests {

@@ -143,59 +143,19 @@ impl Link {
     pub fn next_delivery_at(&self) -> Option<Cycle> {
         self.flight.front().map(|&(ready, _)| ready)
     }
-
-    /// Checkpoint the serializer queue (with bit-exact partial-send
-    /// remainders), the in-flight packets, and the traffic statistics.
-    /// Bandwidth/latency/capacity are config-derived and come from fresh
-    /// construction on restore.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.len(self.queue.len());
-        for (p, rem) in &self.queue {
-            p.snap(w);
-            w.f64(*rem);
-        }
-        w.len(self.flight.len());
-        for (ready, p) in &self.flight {
-            w.u64(*ready);
-            p.snap(w);
-        }
-        w.u64(self.stats.bytes);
-        w.u64(self.stats.ndp_bytes);
-        w.u64(self.stats.inval_bytes);
-        w.u64(self.stats.packets);
-        w.u64(self.stats.busy_cycles);
-        for b in &self.stats.kind_bytes {
-            w.u64(*b);
-        }
-    }
-
-    /// Overwrite the mutable link state from a checkpoint stream.
-    pub fn restore(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        self.queue.clear();
-        for _ in 0..r.len()? {
-            let p = Packet::restore(r)?;
-            let rem = r.f64()?;
-            self.queue.push_back((p, rem));
-        }
-        self.flight.clear();
-        for _ in 0..r.len()? {
-            let ready = r.u64()?;
-            self.flight.push_back((ready, Packet::restore(r)?));
-        }
-        self.stats.bytes = r.u64()?;
-        self.stats.ndp_bytes = r.u64()?;
-        self.stats.inval_bytes = r.u64()?;
-        self.stats.packets = r.u64()?;
-        self.stats.busy_cycles = r.u64()?;
-        for b in &mut self.stats.kind_bytes {
-            *b = r.u64()?;
-        }
-        Ok(())
-    }
 }
+
+crate::snap_value!(LinkStats {
+    bytes,
+    ndp_bytes,
+    inval_bytes,
+    packets,
+    busy_cycles,
+    kind_bytes,
+});
+
+// The serializer queue carries bit-exact partial-send remainders.
+crate::snap_state!(Link { queue, flight, stats; derived: bytes_per_cycle, latency, capacity });
 
 impl Component for Link {
     fn tick(&mut self, now: Cycle) {

@@ -10,6 +10,7 @@ use serde::Serialize;
 
 use crate::ids::{Cycle, Node, OffloadToken};
 use crate::packet::Packet;
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Where in the system a packet was observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -137,64 +138,62 @@ impl EventRing {
     pub fn first_token(&self) -> Option<OffloadToken> {
         self.events.iter().find_map(|e| e.token)
     }
+}
 
-    /// Checkpoint the limit and recorded events. `kind` is transported as
-    /// its [`Packet::kind_index`] so restore can re-point it at the static
-    /// [`Packet::KIND_NAMES`] entry; `site` by its stable index.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.usize(self.limit);
-        w.len(self.events.len());
-        for e in &self.events {
-            w.u64(e.cycle);
-            w.u8(e.site.index() as u8);
-            e.src.snap(w);
-            e.dst.snap(w);
-            w.u32(e.size);
-            let ki = Packet::KIND_NAMES
-                .iter()
-                .position(|&n| n == e.kind)
-                .expect("event kind is a KIND_NAMES entry");
-            w.u8(ki as u8);
-            w.bool(e.token.is_some());
-            w.u64(e.token.map_or(0, |t| t.0));
-        }
+crate::snap_value!(enum TraceSite {
+    0 => SmEject,
+    1 => GpuLinkUp,
+    2 => ToNsu,
+    3 => FromNsu,
+    4 => GpuLinkDown,
+});
+
+/// `kind` travels as its index into [`Packet::KIND_NAMES`], so decoding
+/// re-points it at the static name.
+impl Snap for TraceEvent {
+    fn encode(&self, w: &mut SnapWriter) {
+        let TraceEvent {
+            cycle,
+            site,
+            src,
+            dst,
+            size,
+            kind,
+            token,
+        } = self;
+        cycle.encode(w);
+        site.encode(w);
+        src.encode(w);
+        dst.encode(w);
+        size.encode(w);
+        let ki = Packet::KIND_NAMES
+            .iter()
+            .position(|n| n == kind)
+            .expect("event kind is a KIND_NAMES entry");
+        w.u8(ki as u8);
+        token.encode(w);
     }
 
-    /// Rebuild a ring from a checkpoint stream.
-    pub fn restore(
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<EventRing, crate::snap::SnapError> {
-        let limit = r.usize()?;
-        let n = r.len()?;
-        let mut events = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let cycle = r.u64()?;
-            let si = r.u8()? as usize;
-            let site = *TraceSite::ALL
-                .get(si)
-                .ok_or_else(|| crate::snap::SnapError(format!("unknown TraceSite index {si}")))?;
-            let src = Node::restore(r)?;
-            let dst = Node::restore(r)?;
-            let size = r.u32()?;
-            let ki = r.u8()? as usize;
-            let kind = *Packet::KIND_NAMES
-                .get(ki)
-                .ok_or_else(|| crate::snap::SnapError(format!("unknown packet kind index {ki}")))?;
-            let present = r.bool()?;
-            let tok = r.u64()?;
-            events.push(TraceEvent {
-                cycle,
-                site,
-                src,
-                dst,
-                size,
-                kind,
-                token: present.then_some(OffloadToken(tok)),
-            });
-        }
-        Ok(EventRing { events, limit })
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(TraceEvent {
+            cycle: Snap::decode(r)?,
+            site: Snap::decode(r)?,
+            src: Snap::decode(r)?,
+            dst: Snap::decode(r)?,
+            size: Snap::decode(r)?,
+            kind: {
+                let ki = r.u8()? as usize;
+                Packet::KIND_NAMES
+                    .get(ki)
+                    .copied()
+                    .ok_or_else(|| SnapError(format!("unknown packet kind index {ki}")))?
+            },
+            token: Snap::decode(r)?,
+        })
     }
 }
+
+crate::snap_state!(EventRing { limit, events });
 
 #[cfg(test)]
 mod tests {

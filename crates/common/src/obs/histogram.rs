@@ -120,32 +120,6 @@ impl Histogram {
         self.percentile(0.99)
     }
 
-    /// Checkpoint all buckets and summary accumulators.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        for c in &self.counts {
-            w.u64(*c);
-        }
-        w.u64(self.count);
-        w.u64(self.sum);
-        w.u64(self.min);
-        w.u64(self.max);
-    }
-
-    /// Overwrite from a checkpoint stream.
-    pub fn restore(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        for c in &mut self.counts {
-            *c = r.u64()?;
-        }
-        self.count = r.u64()?;
-        self.sum = r.u64()?;
-        self.min = r.u64()?;
-        self.max = r.u64()?;
-        Ok(())
-    }
-
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
@@ -156,6 +130,8 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 }
+
+crate::snap_state!(Histogram { counts [words], count, sum, min, max });
 
 #[cfg(test)]
 mod tests {

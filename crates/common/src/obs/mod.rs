@@ -77,7 +77,9 @@ pub struct Obs {
     cfg: ObsConfig,
     pub txns: TxnTracker,
     pub events: EventRing,
-    series: Vec<(&'static str, TimeSeries)>,
+    /// Occupancy series by name, in creation order. Names are owned so a
+    /// restore rebuilds them without interning.
+    series: Vec<(String, TimeSeries)>,
 }
 
 impl Obs {
@@ -126,16 +128,16 @@ impl Obs {
 
     /// Offer one occupancy sample to the named series (created on first
     /// use). Call once per series per due cycle.
-    pub fn offer_sample(&mut self, name: &'static str, v: f64) {
+    pub fn offer_sample(&mut self, name: &str, v: f64) {
         if !self.cfg.enabled {
             return;
         }
-        match self.series.iter_mut().find(|(n, _)| *n == name) {
+        match self.series.iter_mut().find(|(n, _)| n == name) {
             Some((_, ts)) => ts.offer(v),
             None => {
                 let mut ts = TimeSeries::new(self.cfg.timeseries_cap);
                 ts.offer(v);
-                self.series.push((name, ts));
+                self.series.push((name.to_string(), ts));
             }
         }
     }
@@ -178,52 +180,6 @@ impl Obs {
         }
     }
 
-    /// Checkpoint the config, transaction tracker, event ring, and
-    /// occupancy series.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.bool(self.cfg.enabled);
-        w.u64(self.cfg.sample_interval);
-        w.usize(self.cfg.timeseries_cap);
-        w.usize(self.cfg.event_cap);
-        self.txns.snap(w);
-        self.events.snap(w);
-        w.len(self.series.len());
-        for (name, ts) in &self.series {
-            w.str(name);
-            ts.snap(w);
-        }
-    }
-
-    /// Rebuild the observability layer from a checkpoint stream. Series
-    /// names created at runtime are interned with `Box::leak` — a handful
-    /// of short strings per restore, matching the `&'static str` keys the
-    /// live sampler uses.
-    pub fn restore(r: &mut crate::snap::SnapReader<'_>) -> Result<Obs, crate::snap::SnapError> {
-        let cfg = ObsConfig {
-            enabled: r.bool()?,
-            sample_interval: r.u64()?,
-            timeseries_cap: r.usize()?,
-            event_cap: r.usize()?,
-        };
-        let mut txns = TxnTracker::default();
-        txns.restore(r)?;
-        let events = EventRing::restore(r)?;
-        let n = r.len()?;
-        let mut series = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name: &'static str = Box::leak(r.str()?.into_boxed_str());
-            let mut ts = TimeSeries::new(cfg.timeseries_cap);
-            ts.restore(r)?;
-            series.push((name, ts));
-        }
-        Ok(Obs {
-            cfg,
-            txns,
-            events,
-            series,
-        })
-    }
-
     /// Fold the live state into a serializable report.
     pub fn report(&self) -> ObsReport {
         ObsReport {
@@ -254,6 +210,20 @@ impl Obs {
         }
     }
 }
+
+crate::snap_value!(ObsConfig {
+    enabled,
+    sample_interval,
+    timeseries_cap,
+    event_cap,
+});
+
+crate::snap_state!(Obs {
+    cfg,
+    txns,
+    events,
+    series
+});
 
 /// Percentile summary of one [`Histogram`] (all zero when empty).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]

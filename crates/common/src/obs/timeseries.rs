@@ -67,32 +67,14 @@ impl TimeSeries {
     pub fn peak(&self) -> f64 {
         self.samples.iter().copied().fold(0.0f64, f64::max)
     }
-
-    /// Checkpoint stride/skip and the retained samples (bit-exact floats).
-    /// `cap` is config-derived and comes from fresh construction on restore.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.stride);
-        w.u64(self.skip);
-        w.len(self.samples.len());
-        for s in &self.samples {
-            w.f64(*s);
-        }
-    }
-
-    /// Overwrite from a checkpoint stream.
-    pub fn restore(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        self.stride = r.u64()?;
-        self.skip = r.u64()?;
-        self.samples.clear();
-        for _ in 0..r.len()? {
-            self.samples.push(r.f64()?);
-        }
-        Ok(())
-    }
 }
+
+crate::snap_value!(TimeSeries {
+    cap,
+    stride,
+    skip,
+    samples
+});
 
 #[cfg(test)]
 mod tests {

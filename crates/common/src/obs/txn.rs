@@ -103,67 +103,6 @@ impl TxnTracker {
         self.pending.len()
     }
 
-    /// Checkpoint the pending map (sorted by token for byte-stable output),
-    /// counters, and all five segment histograms.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        fn opt(w: &mut crate::snap::SnapWriter, v: Option<Cycle>) {
-            w.bool(v.is_some());
-            w.u64(v.unwrap_or(0));
-        }
-        let mut pend: Vec<(OffloadToken, Pending)> =
-            self.pending.iter().map(|(&t, &p)| (t, p)).collect();
-        pend.sort_unstable_by_key(|&(t, _)| t);
-        w.len(pend.len());
-        for (t, p) in pend {
-            w.u64(t.0);
-            w.u64(p.issued);
-            opt(w, p.at_nsu);
-            opt(w, p.last_rdf);
-            opt(w, p.ack_out);
-        }
-        w.u64(self.issued);
-        w.u64(self.completed);
-        w.u64(self.orphan_acks);
-        self.end_to_end.snap(w);
-        self.cmd_dispatch.snap(w);
-        self.rdf_drain.snap(w);
-        self.nsu_execute.snap(w);
-        self.ack_return.snap(w);
-    }
-
-    /// Overwrite the tracker from a checkpoint stream.
-    pub fn restore(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        fn opt(
-            r: &mut crate::snap::SnapReader<'_>,
-        ) -> Result<Option<Cycle>, crate::snap::SnapError> {
-            let present = r.bool()?;
-            let v = r.u64()?;
-            Ok(present.then_some(v))
-        }
-        self.pending.clear();
-        for _ in 0..r.len()? {
-            let t = OffloadToken(r.u64()?);
-            let p = Pending {
-                issued: r.u64()?,
-                at_nsu: opt(r)?,
-                last_rdf: opt(r)?,
-                ack_out: opt(r)?,
-            };
-            self.pending.insert(t, p);
-        }
-        self.issued = r.u64()?;
-        self.completed = r.u64()?;
-        self.orphan_acks = r.u64()?;
-        self.end_to_end.restore(r)?;
-        self.cmd_dispatch.restore(r)?;
-        self.rdf_drain.restore(r)?;
-        self.nsu_execute.restore(r)?;
-        self.ack_return.restore(r)
-    }
-
     /// `(name, histogram)` for every segment, report order.
     pub fn segments(&self) -> [(&'static str, &Histogram); 5] {
         [
@@ -175,6 +114,25 @@ impl TxnTracker {
         ]
     }
 }
+
+crate::snap_value!(Pending {
+    issued,
+    at_nsu,
+    last_rdf,
+    ack_out,
+});
+
+crate::snap_state!(TxnTracker {
+    pending,
+    issued,
+    completed,
+    orphan_acks,
+    end_to_end,
+    cmd_dispatch,
+    rdf_drain,
+    nsu_execute,
+    ack_return,
+});
 
 #[cfg(test)]
 mod tests {

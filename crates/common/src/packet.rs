@@ -8,7 +8,6 @@
 //! of Fig. 4 so that link bandwidth and energy accounting are faithful.
 
 use crate::ids::{Cycle, Node, OffloadId, OffloadToken};
-use crate::snap::{SnapError, SnapReader, SnapWriter};
 
 /// Word size for register values and per-lane data words (bytes).
 pub const WORD_BYTES: u32 = 4;
@@ -60,33 +59,13 @@ impl LineAccess {
             0
         }
     }
-
-    /// Checkpoint encoding (see `ndp_common::snap` conventions).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.line);
-        w.len(self.lanes.len());
-        for &(lane, addr) in &self.lanes {
-            w.u8(lane);
-            w.u64(addr);
-        }
-        w.bool(self.misaligned);
-    }
-
-    /// Checkpoint decoding counterpart of [`LineAccess::snap`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<LineAccess, SnapError> {
-        let line = r.u64()?;
-        let n = r.len()?;
-        let mut lanes = Vec::with_capacity(n);
-        for _ in 0..n {
-            lanes.push((r.u8()?, r.u64()?));
-        }
-        Ok(LineAccess {
-            line,
-            lanes,
-            misaligned: r.bool()?,
-        })
-    }
 }
+
+crate::snap_value!(LineAccess {
+    line,
+    lanes,
+    misaligned
+});
 
 /// Payload variants. Wire size is computed by [`Packet::wire_size`].
 #[derive(Debug, Clone)]
@@ -312,221 +291,31 @@ impl Packet {
                 | PacketKind::WriteAck { .. }
         )
     }
-
-    /// Checkpoint encoding: endpoints, wire metadata, and the full payload
-    /// variant (discriminant = [`Packet::kind_index`]).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        fn id(w: &mut SnapWriter, id: &OffloadId) {
-            w.u16(id.sm);
-            w.u16(id.warp);
-            w.u16(id.seq);
-        }
-        self.src.snap(w);
-        self.dst.snap(w);
-        w.u32(self.size);
-        w.u64(self.birth);
-        w.u8(self.kind_index() as u8);
-        match &self.kind {
-            PacketKind::ReadReq {
-                addr,
-                bytes,
-                tag,
-                block,
-            } => {
-                w.u64(*addr);
-                w.u32(*bytes);
-                w.u64(*tag);
-                w.u16(*block);
-            }
-            PacketKind::ReadResp { addr, bytes, tag } => {
-                w.u64(*addr);
-                w.u32(*bytes);
-                w.u64(*tag);
-            }
-            PacketKind::WriteReq { addr, words, tag } => {
-                w.u64(*addr);
-                w.u32(*words);
-                w.u64(*tag);
-            }
-            PacketKind::WriteAck { addr, tag } => {
-                w.u64(*addr);
-                w.u64(*tag);
-            }
-            PacketKind::OffloadCmd {
-                token,
-                id: oid,
-                nsu_pc,
-                regs_in,
-                active,
-                mask,
-                n_loads,
-                n_stores,
-            } => {
-                w.u64(token.0);
-                id(w, oid);
-                w.u64(*nsu_pc);
-                w.u8(*regs_in);
-                w.u8(*active);
-                w.u32(*mask);
-                w.u8(*n_loads);
-                w.u8(*n_stores);
-            }
-            PacketKind::Rdf {
-                token,
-                seq,
-                access,
-                target,
-                block,
-                cache_hit_data,
-            } => {
-                w.u64(token.0);
-                w.u16(*seq);
-                access.snap(w);
-                target.snap(w);
-                w.u16(*block);
-                w.bool(*cache_hit_data);
-            }
-            PacketKind::RdfResp { token, seq, access } => {
-                w.u64(token.0);
-                w.u16(*seq);
-                access.snap(w);
-            }
-            PacketKind::Wta {
-                token,
-                seq,
-                access,
-                target,
-                n_accesses,
-            } => {
-                w.u64(token.0);
-                w.u16(*seq);
-                access.snap(w);
-                target.snap(w);
-                w.u8(*n_accesses);
-            }
-            PacketKind::NsuWrite { token, addr, words } => {
-                w.u64(token.0);
-                w.u64(*addr);
-                w.u32(*words);
-            }
-            PacketKind::NsuWriteAck { token } => w.u64(token.0),
-            PacketKind::CacheInval { addr } => w.u64(*addr),
-            PacketKind::OffloadAck {
-                token,
-                id: oid,
-                regs_out,
-                active,
-                values,
-            } => {
-                w.u64(token.0);
-                id(w, oid);
-                w.u8(*regs_out);
-                w.u8(*active);
-                w.len(values.len());
-                w.u64s(values.as_flattened());
-            }
-        }
-    }
-
-    /// Checkpoint decoding counterpart of [`Packet::snap`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Packet, SnapError> {
-        fn id(r: &mut SnapReader<'_>) -> Result<OffloadId, SnapError> {
-            Ok(OffloadId {
-                sm: r.u16()?,
-                warp: r.u16()?,
-                seq: r.u16()?,
-            })
-        }
-        let src = Node::restore(r)?;
-        let dst = Node::restore(r)?;
-        let size = r.u32()?;
-        let birth = r.u64()?;
-        let kind = match r.u8()? {
-            0 => PacketKind::ReadReq {
-                addr: r.u64()?,
-                bytes: r.u32()?,
-                tag: r.u64()?,
-                block: r.u16()?,
-            },
-            1 => PacketKind::ReadResp {
-                addr: r.u64()?,
-                bytes: r.u32()?,
-                tag: r.u64()?,
-            },
-            2 => PacketKind::WriteReq {
-                addr: r.u64()?,
-                words: r.u32()?,
-                tag: r.u64()?,
-            },
-            3 => PacketKind::WriteAck {
-                addr: r.u64()?,
-                tag: r.u64()?,
-            },
-            4 => PacketKind::OffloadCmd {
-                token: OffloadToken(r.u64()?),
-                id: id(r)?,
-                nsu_pc: r.u64()?,
-                regs_in: r.u8()?,
-                active: r.u8()?,
-                mask: r.u32()?,
-                n_loads: r.u8()?,
-                n_stores: r.u8()?,
-            },
-            5 => PacketKind::Rdf {
-                token: OffloadToken(r.u64()?),
-                seq: r.u16()?,
-                access: LineAccess::restore(r)?,
-                target: Node::restore(r)?,
-                block: r.u16()?,
-                cache_hit_data: r.bool()?,
-            },
-            6 => PacketKind::RdfResp {
-                token: OffloadToken(r.u64()?),
-                seq: r.u16()?,
-                access: LineAccess::restore(r)?,
-            },
-            7 => PacketKind::Wta {
-                token: OffloadToken(r.u64()?),
-                seq: r.u16()?,
-                access: LineAccess::restore(r)?,
-                target: Node::restore(r)?,
-                n_accesses: r.u8()?,
-            },
-            8 => PacketKind::NsuWrite {
-                token: OffloadToken(r.u64()?),
-                addr: r.u64()?,
-                words: r.u32()?,
-            },
-            9 => PacketKind::NsuWriteAck {
-                token: OffloadToken(r.u64()?),
-            },
-            10 => PacketKind::CacheInval { addr: r.u64()? },
-            11 => {
-                let token = OffloadToken(r.u64()?);
-                let oid = id(r)?;
-                let regs_out = r.u8()?;
-                let active = r.u8()?;
-                let mut values = vec![[0u64; 32]; r.len()?];
-                r.u64s(values.as_flattened_mut())?;
-                PacketKind::OffloadAck {
-                    token,
-                    id: oid,
-                    regs_out,
-                    active,
-                    values,
-                }
-            }
-            d => return Err(SnapError(format!("unknown PacketKind discriminant {d}"))),
-        };
-        Ok(Packet {
-            src,
-            dst,
-            size,
-            birth,
-            kind,
-        })
-    }
 }
+
+crate::snap_value!(Packet {
+    src,
+    dst,
+    size,
+    birth,
+    kind
+});
+
+// Discriminants are `Packet::kind_index`.
+crate::snap_value!(enum PacketKind {
+    0 => ReadReq { addr, bytes, tag, block },
+    1 => ReadResp { addr, bytes, tag },
+    2 => WriteReq { addr, words, tag },
+    3 => WriteAck { addr, tag },
+    4 => OffloadCmd { token, id, nsu_pc, regs_in, active, mask, n_loads, n_stores },
+    5 => Rdf { token, seq, access, target, block, cache_hit_data },
+    6 => RdfResp { token, seq, access },
+    7 => Wta { token, seq, access, target, n_accesses },
+    8 => NsuWrite { token, addr, words },
+    9 => NsuWriteAck { token },
+    10 => CacheInval { addr },
+    11 => OffloadAck { token, id, regs_out, active, values },
+});
 
 #[cfg(test)]
 mod tests {

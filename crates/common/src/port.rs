@@ -40,6 +40,8 @@ pub struct CreditEvents {
     pub write: u32,
 }
 
+crate::snap_value!(CreditEvents { cmd, read, write });
+
 /// A bounded egress FIFO: the component pushes, the fabric pops.
 ///
 /// Capacity is the uniform backpressure bound. Pushing past capacity is a
@@ -110,28 +112,9 @@ impl OutPort {
     pub fn retain(&mut self, f: impl FnMut(&Packet) -> bool) {
         self.q.retain(f)
     }
-
-    /// Checkpoint the queued packets (capacity is config-derived and comes
-    /// from fresh construction on restore).
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.len(self.q.len());
-        for p in &self.q {
-            p.snap(w);
-        }
-    }
-
-    /// Overwrite the queue contents from a checkpoint stream.
-    pub fn restore(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        self.q.clear();
-        for _ in 0..r.len()? {
-            self.q.push_back(Packet::restore(r)?);
-        }
-        Ok(())
-    }
 }
+
+crate::snap_state!(OutPort { q; derived: capacity });
 
 impl Index<usize> for OutPort {
     type Output = Packet;
@@ -226,30 +209,9 @@ impl InPort {
     pub fn next_ready(&self) -> Option<Cycle> {
         self.q.front().map(|&(ready, _)| ready)
     }
-
-    /// Checkpoint the latency-stamped queue (latency/capacity are
-    /// config-derived and come from fresh construction on restore).
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.len(self.q.len());
-        for (ready, p) in &self.q {
-            w.u64(*ready);
-            p.snap(w);
-        }
-    }
-
-    /// Overwrite the queue contents from a checkpoint stream.
-    pub fn restore(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        self.q.clear();
-        for _ in 0..r.len()? {
-            let ready = r.u64()?;
-            self.q.push_back((ready, Packet::restore(r)?));
-        }
-        Ok(())
-    }
 }
+
+crate::snap_state!(InPort { q; derived: latency, capacity });
 
 /// A structural component advanced once per fabric cycle.
 pub trait Component {

@@ -1,29 +1,39 @@
-//! Binary snapshot primitives for deterministic checkpoint/restore.
+//! Binary snapshot codec for deterministic checkpoint/restore.
 //!
-//! Every stateful component serializes itself through [`SnapWriter`] /
-//! [`SnapReader`]: a tiny, dependency-free little-endian binary codec.
-//! There is deliberately no reflection and no derive — the offline build
-//! carries only inert serde stubs, and a hand-rolled codec keeps the
-//! on-disk layout explicit, stable, and auditable (DESIGN.md §13).
+//! Each checkpointed type lists its state once, and a macro generates both
+//! directions from that list: [`snap_value!`] implements [`Snap`] for plain
+//! values that decode on their own (packets, ids, statistics blocks), and
+//! [`snap_state!`] implements [`SnapState`] for components, which restore
+//! *in place* into a freshly constructed machine so that fields derived
+//! from the config or the kernel keep their constructed values. Both
+//! destructure `Self` without a rest pattern: a field added to a type does
+//! not compile until it is listed, as state or under `derived:`. The few
+//! impls that need context beyond a field list (an SM's warp slots are
+//! built from the kernel, a credit balance must fit its pool) are written
+//! by hand and destructure `Self` the same way. serde is not used: the
+//! vendored shim goes through a `Value` tree, and a derive cannot restore
+//! into a machine that is already constructed.
 //!
-//! Conventions shared by every `snap`/`restore` pair in the workspace:
+//! The layout every codec shares:
 //!
 //! - integers are little-endian fixed width; `usize` travels as `u64`;
-//! - `f64` travels as its IEEE-754 bit pattern ([`f64::to_bits`]) so
-//!   restore is bit-exact, never a decimal round-trip;
-//! - sequences are length-prefixed (`u64`) and written in a deterministic
-//!   order — hash maps/sets serialize their entries sorted by key so two
-//!   snapshots of identical state are byte-identical across processes;
-//! - `Option<T>` is a `bool` presence flag followed by the payload;
-//! - composite sections open with a [`SnapWriter::tag`] that the reader
-//!   checks, so a truncated or shifted stream fails loudly at the first
-//!   misaligned section instead of silently misparsing.
+//! - `f64` travels as its IEEE-754 bit pattern, so restore is bit-exact;
+//! - sequences are length-prefixed (`u64`), including those whose shape is
+//!   fixed at construction, which restore checks against the constructed
+//!   length; maps, sets and heaps are written sorted, so equal states give
+//!   equal bytes across processes;
+//! - `Option<T>` is a `bool` flag, followed by the payload only if present;
+//! - an enum writes the `u8` discriminant its field list names;
+//! - the system's sections open with a [`SnapWriter::tag`] that the reader
+//!   checks, so a shifted stream fails at the first misaligned section.
 //!
-//! Corruption is never a panic: every reader method returns a
-//! [`SnapError`] naming the byte offset and what was being decoded, which
+//! Corruption is never a panic: every decode returns a [`SnapError`]
+//! naming the byte offset or the field and what was expected, which
 //! `System::try_restore` wraps into `SimError::BadCheckpoint`.
 
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 
 /// Why a snapshot stream could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,10 +175,6 @@ impl SnapWriter {
     /// Section marker — readers verify it with [`SnapReader::tag`].
     pub fn tag(&mut self, t: u16) {
         self.u16(t);
-    }
-
-    pub fn position(&self) -> usize {
-        self.buf.len()
     }
 
     pub fn into_bytes(self) -> Vec<u8> {
@@ -317,6 +323,533 @@ impl<'a> SnapReader<'a> {
     }
 }
 
+/// A plain value that decodes on its own: [`Snap::decode`] builds it from
+/// the stream alone. Implemented here for the primitives and containers,
+/// and by [`snap_value!`] for the workspace's value types.
+pub trait Snap: Sized {
+    fn encode(&self, w: &mut SnapWriter);
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+
+    /// Decode over `self`. Containers override it to refill their own
+    /// allocation, so a restored machine keeps the capacity its
+    /// constructor reserved.
+    fn decode_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = Self::decode(r)?;
+        Ok(())
+    }
+}
+
+/// A component restored in place into a freshly constructed value, whose
+/// config- and kernel-derived fields survive the restore. Generated by
+/// [`snap_state!`]; every [`Snap`] value is one too.
+pub trait SnapState {
+    fn snap(&self, w: &mut SnapWriter);
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+impl<T: Snap> SnapState for T {
+    #[inline]
+    fn snap(&self, w: &mut SnapWriter) {
+        self.encode(w)
+    }
+
+    #[inline]
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.decode_into(r)
+    }
+}
+
+macro_rules! snap_primitive {
+    ($($t:ty => $m:ident),* $(,)?) => {$(
+        impl Snap for $t {
+            #[inline]
+            fn encode(&self, w: &mut SnapWriter) {
+                w.$m(*self)
+            }
+
+            #[inline]
+            fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                r.$m()
+            }
+        }
+    )*};
+}
+
+snap_primitive!(u8 => u8, u16 => u16, u32 => u32, u64 => u64, usize => usize, bool => bool, f64 => f64);
+
+impl Snap for String {
+    fn encode(&self, w: &mut SnapWriter) {
+        w.str(self)
+    }
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        r.str()
+    }
+}
+
+/// Lane values: one bulk run, no length (the type fixes it).
+impl<const N: usize> Snap for [u64; N] {
+    #[inline]
+    fn encode(&self, w: &mut SnapWriter) {
+        w.u64s(self)
+    }
+
+    #[inline]
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut a = [0; N];
+        r.u64s(&mut a)?;
+        Ok(a)
+    }
+}
+
+impl<T: Snap> Snap for Option<T> {
+    fn encode(&self, w: &mut SnapWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.encode(w);
+        }
+    }
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(if r.bool()? { Some(T::decode(r)?) } else { None })
+    }
+}
+
+macro_rules! snap_tuple {
+    ($(($($t:ident $i:tt),+)),*) => {$(
+        impl<$($t: Snap),+> Snap for ($($t,)+) {
+            fn encode(&self, w: &mut SnapWriter) {
+                $(self.$i.encode(w);)+
+            }
+
+            fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                Ok(($($t::decode(r)?,)+))
+            }
+        }
+    )*};
+}
+
+snap_tuple!((A 0, B 1), (A 0, B 1, C 2));
+
+/// Length prefix, then every element in order (`items` must report its
+/// exact length, as the std iterators do).
+fn encode_seq<'a, T: Snap + 'a>(w: &mut SnapWriter, items: impl ExactSizeIterator<Item = &'a T>) {
+    w.len(items.len());
+    for v in items {
+        v.encode(w);
+    }
+}
+
+/// `Vec` and `VecDeque`: decoding refills the container's own allocation.
+macro_rules! snap_seq {
+    ($($c:ident::$push:ident),*) => {$(
+        impl<T: Snap> Snap for $c<T> {
+            fn encode(&self, w: &mut SnapWriter) {
+                encode_seq(w, self.iter())
+            }
+
+            fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                let mut v = $c::new();
+                v.decode_into(r)?;
+                Ok(v)
+            }
+
+            fn decode_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+                self.clear();
+                let n = r.len()?;
+                self.reserve(n);
+                for _ in 0..n {
+                    self.$push(T::decode(r)?);
+                }
+                Ok(())
+            }
+        }
+    )*};
+}
+
+snap_seq!(Vec::push, VecDeque::push_back);
+
+/// Entries sorted by key.
+impl<K, V, S> Snap for HashMap<K, V, S>
+where
+    K: Snap + Ord + Hash,
+    V: Snap,
+    S: BuildHasher + Default,
+{
+    fn encode(&self, w: &mut SnapWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.len(entries.len());
+        for (k, v) in entries {
+            k.encode(w);
+            v.encode(w);
+        }
+    }
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut m = HashMap::default();
+        m.decode_into(r)?;
+        Ok(m)
+    }
+
+    fn decode_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.clear();
+        let n = r.len()?;
+        self.reserve(n);
+        for _ in 0..n {
+            let k = K::decode(r)?;
+            self.insert(k, V::decode(r)?);
+        }
+        Ok(())
+    }
+}
+
+/// Elements sorted.
+impl<T, S> Snap for HashSet<T, S>
+where
+    T: Snap + Ord + Hash,
+    S: BuildHasher + Default,
+{
+    fn encode(&self, w: &mut SnapWriter) {
+        let mut items: Vec<&T> = self.iter().collect();
+        items.sort_unstable();
+        encode_seq(w, items.into_iter())
+    }
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut s = HashSet::default();
+        s.decode_into(r)?;
+        Ok(s)
+    }
+
+    fn decode_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.clear();
+        let n = r.len()?;
+        self.reserve(n);
+        for _ in 0..n {
+            self.insert(T::decode(r)?);
+        }
+        Ok(())
+    }
+}
+
+/// Elements sorted ascending by `Ord` (the heap's internal order is not
+/// deterministic across builds).
+impl<T: Snap + Ord> Snap for BinaryHeap<T> {
+    fn encode(&self, w: &mut SnapWriter) {
+        let mut items: Vec<&T> = self.iter().collect();
+        items.sort_unstable();
+        encode_seq(w, items.into_iter())
+    }
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(BinaryHeap::from(Vec::decode(r)?))
+    }
+
+    fn decode_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let mut items = std::mem::take(self).into_vec();
+        items.decode_into(r)?;
+        *self = BinaryHeap::from(items);
+        Ok(())
+    }
+}
+
+/// Read the length of a sequence whose shape was fixed at construction
+/// and require it to be `want`. `what` names the field (`Type.field`).
+pub fn expect_count(r: &mut SnapReader<'_>, what: &str, want: usize) -> Result<(), SnapError> {
+    let at = r.position();
+    let got = r.usize()?;
+    if got != want {
+        return Err(SnapError(format!(
+            "{what} at byte {at}: built with {want}, checkpoint has {got}"
+        )));
+    }
+    Ok(())
+}
+
+/// `[each]`: a fixed-length sequence of components, restored in place.
+pub fn snap_each<T: SnapState>(items: &[T], w: &mut SnapWriter) {
+    w.len(items.len());
+    for v in items {
+        v.snap(w);
+    }
+}
+
+/// Restore counterpart of [`snap_each`].
+pub fn restore_each<T: SnapState>(
+    items: &mut [T],
+    r: &mut SnapReader<'_>,
+    what: &str,
+) -> Result<(), SnapError> {
+    expect_count(r, what, items.len())?;
+    for v in items {
+        v.restore(r)?;
+    }
+    Ok(())
+}
+
+/// `[grid]`: rows of fixed-length sequences (cache sets × ways, the
+/// memory network's node × dimension links).
+pub fn snap_grid<T: SnapState>(rows: &[Vec<T>], w: &mut SnapWriter) {
+    w.len(rows.len());
+    for row in rows {
+        snap_each(row, w);
+    }
+}
+
+/// Restore counterpart of [`snap_grid`]; every row's length is checked.
+pub fn restore_grid<T: SnapState>(
+    rows: &mut [Vec<T>],
+    r: &mut SnapReader<'_>,
+    what: &str,
+) -> Result<(), SnapError> {
+    expect_count(r, what, rows.len())?;
+    for row in rows {
+        restore_each(row, r, what)?;
+    }
+    Ok(())
+}
+
+/// Storage moved as one bulk run of `u64` words: a register file
+/// (`Vec<[u64; WARP_WIDTH]>`), a scoreboard or histogram buckets
+/// (`Vec<u64>`). `run` is the element count and the words.
+pub trait Words {
+    fn run(&self) -> (usize, &[u64]);
+    fn run_mut(&mut self) -> (usize, &mut [u64]);
+}
+
+impl Words for Vec<u64> {
+    fn run(&self) -> (usize, &[u64]) {
+        (self.len(), self)
+    }
+
+    fn run_mut(&mut self) -> (usize, &mut [u64]) {
+        (self.len(), self)
+    }
+}
+
+impl<const N: usize> Words for Vec<[u64; N]> {
+    fn run(&self) -> (usize, &[u64]) {
+        (self.len(), self.as_flattened())
+    }
+
+    fn run_mut(&mut self) -> (usize, &mut [u64]) {
+        (self.len(), self.as_flattened_mut())
+    }
+}
+
+/// `[words]`: the element count, then every word in one run.
+pub fn snap_words<T: Words>(v: &T, w: &mut SnapWriter) {
+    let (n, words) = v.run();
+    w.len(n);
+    w.u64s(words);
+}
+
+/// Restore counterpart of [`snap_words`]: one count check and one bounds
+/// check for the whole run.
+pub fn restore_words<T: Words>(
+    v: &mut T,
+    r: &mut SnapReader<'_>,
+    what: &str,
+) -> Result<(), SnapError> {
+    let (n, words) = v.run_mut();
+    expect_count(r, what, n)?;
+    r.u64s(words)
+}
+
+/// Implement [`Snap`] for a value type from its field list.
+///
+/// Three forms:
+///
+/// - `snap_value!(Type { a, b })`: the fields in the listed order (the type
+///   may be generic: `Type<T: Bound> { .. }`);
+/// - `snap_value!(Newtype(u64))`: the single wrapped value;
+/// - `snap_value!(enum Kind { 0 => A { x, y }, 1 => B(i), 2 => C })`: the
+///   listed `u8` discriminant, then the variant's fields. An unknown
+///   discriminant is a decode error naming the type.
+///
+/// The generated code destructures without `..` and builds `Self` with a
+/// struct expression, so an unlisted field or variant does not compile.
+#[macro_export]
+macro_rules! snap_value {
+    (enum $name:ident {
+        $($d:literal => $var:ident $({ $($f:ident),* $(,)? })? $(( $($t:ident),* $(,)? ))?),+ $(,)?
+    }) => {
+        impl $crate::snap::Snap for $name {
+            fn encode(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {
+                    $(Self::$var $({ $($f),* })? $(( $($t),* ))? => {
+                        w.u8($d);
+                        $($( $crate::snap::Snap::encode($f, w); )*)?
+                        $($( $crate::snap::Snap::encode($t, w); )*)?
+                    })+
+                }
+            }
+
+            fn decode(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<Self, $crate::snap::SnapError> {
+                Ok(match r.u8()? {
+                    $($d => Self::$var
+                        $({ $($f: $crate::snap::Snap::decode(r)?),* })?
+                        $(( $({
+                            let $t = $crate::snap::Snap::decode(r)?;
+                            $t
+                        }),* ))?,)+
+                    d => {
+                        return Err($crate::snap::SnapError(format!(
+                            concat!("unknown ", stringify!($name), " discriminant {}"),
+                            d
+                        )))
+                    }
+                })
+            }
+        }
+    };
+    ($name:ident ($inner:ty)) => {
+        impl $crate::snap::Snap for $name {
+            #[inline]
+            fn encode(&self, w: &mut $crate::snap::SnapWriter) {
+                let Self(v) = self;
+                $crate::snap::Snap::encode(v, w)
+            }
+
+            #[inline]
+            fn decode(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<Self, $crate::snap::SnapError> {
+                Ok(Self(<$inner as $crate::snap::Snap>::decode(r)?))
+            }
+        }
+    };
+    ($name:ident $(<$($g:ident: $b:path),+>)? { $($f:ident),+ $(,)? }) => {
+        impl$(<$($g: $b),+>)? $crate::snap::Snap for $name$(<$($g),+>)? {
+            fn encode(&self, w: &mut $crate::snap::SnapWriter) {
+                let Self { $($f),+ } = self;
+                $( $crate::snap::Snap::encode($f, w); )+
+            }
+
+            fn decode(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<Self, $crate::snap::SnapError> {
+                Ok(Self { $($f: $crate::snap::Snap::decode(r)?),+ })
+            }
+        }
+    };
+}
+
+/// Implement [`SnapState`] for a component from its field list:
+///
+/// ```text
+/// snap_state!(Type { a, b [each], c [grid], d [words]; derived: x, y; after: hook })
+/// ```
+///
+/// - State fields are written in the listed order and restored in place,
+///   each through its own [`SnapState`] impl.
+/// - `[each]`, `[grid]` and `[words]` mark sequences whose shape is fixed
+///   at construction (SM warp slots, vault banks, cache sets × ways, a
+///   register file). Restore checks their lengths against the constructed
+///   value and names `Type.field` and both counts on a mismatch; `[words]`
+///   moves the whole run in one bounds check.
+/// - `derived:` lists the fields that come from construction (config,
+///   kernel, caches rebuilt from state) and are never written.
+/// - `after:` names a `&mut self` method run once the fields are restored,
+///   to rebuild what `derived` fields cache.
+/// - The type may be generic: `Cache<W: Snap> { .. }`.
+///
+/// The generated code destructures `Self` without `..`, so a field that is
+/// listed neither as state nor as derived does not compile:
+///
+/// ```
+/// use ndp_common::snap::{SnapReader, SnapState, SnapWriter};
+///
+/// struct Port {
+///     queue: Vec<u32>,
+///     credits: [u64; 2],
+///     capacity: usize,
+/// }
+/// ndp_common::snap_state!(Port { queue, credits; derived: capacity });
+///
+/// let live = Port { queue: vec![7, 9], credits: [1, 2], capacity: 4 };
+/// let mut w = SnapWriter::new();
+/// live.snap(&mut w);
+/// let bytes = w.into_bytes();
+///
+/// let mut fresh = Port { queue: Vec::new(), credits: [0; 2], capacity: 4 };
+/// fresh.restore(&mut SnapReader::new(&bytes)).unwrap();
+/// assert_eq!((fresh.queue, fresh.credits), (vec![7, 9], [1, 2]));
+/// ```
+///
+/// The same type with `capacity` left out of the list is a compile error:
+///
+/// ```compile_fail,E0027
+/// struct Port {
+///     queue: Vec<u32>,
+///     credits: [u64; 2],
+///     capacity: usize,
+/// }
+/// ndp_common::snap_state!(Port { queue, credits });
+/// ```
+#[macro_export]
+macro_rules! snap_state {
+    ($name:ident $(<$($g:ident: $b:path),+>)? {
+        $($f:ident $([$mode:ident])?),+ $(,)?
+        $(; derived: $($d:ident),+ $(,)?)?
+        $(; after: $hook:ident)?
+    }) => {
+        impl$(<$($g: $b),+>)? $crate::snap::SnapState for $name$(<$($g),+>)? {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                let Self { $($f,)+ $($($d: _,)+)? } = self;
+                $( $crate::__snap_field!(snap w, $f $(, $mode)?); )+
+            }
+
+            fn restore(
+                &mut self,
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<(), $crate::snap::SnapError> {
+                let Self { $($f,)+ $($($d: _,)+)? } = &mut *self;
+                $( $crate::__snap_field!(
+                    restore r, $f, concat!(stringify!($name), ".", stringify!($f)) $(, $mode)?
+                ); )+
+                $( self.$hook(); )?
+                Ok(())
+            }
+        }
+    };
+}
+
+/// One field of [`snap_state!`], by shape.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __snap_field {
+    (snap $w:ident, $f:ident) => {
+        $crate::snap::SnapState::snap($f, $w)
+    };
+    (snap $w:ident, $f:ident, each) => {
+        $crate::snap::snap_each($f, $w)
+    };
+    (snap $w:ident, $f:ident, grid) => {
+        $crate::snap::snap_grid($f, $w)
+    };
+    (snap $w:ident, $f:ident, words) => {
+        $crate::snap::snap_words($f, $w)
+    };
+    (restore $r:ident, $f:ident, $what:expr) => {
+        $crate::snap::SnapState::restore($f, $r)?
+    };
+    (restore $r:ident, $f:ident, $what:expr, each) => {
+        $crate::snap::restore_each($f, $r, $what)?
+    };
+    (restore $r:ident, $f:ident, $what:expr, grid) => {
+        $crate::snap::restore_grid($f, $r, $what)?
+    };
+    (restore $r:ident, $f:ident, $what:expr, words) => {
+        $crate::snap::restore_words($f, $r, $what)?
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,5 +985,123 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
         assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
+    }
+
+    /// A component with one field of every fixed shape.
+    #[derive(Debug, PartialEq)]
+    struct Shaped {
+        slots: Vec<Option<u16>>,
+        sets: Vec<Vec<(u64, bool)>>,
+        regs: Vec<[u64; 4]>,
+        stamp: u64,
+        restored: bool,
+    }
+
+    impl Shaped {
+        fn new(slots: usize, sets: usize, ways: usize, regs: usize) -> Shaped {
+            Shaped {
+                slots: vec![None; slots],
+                sets: vec![vec![(0, false); ways]; sets],
+                regs: vec![[0; 4]; regs],
+                stamp: 0,
+                restored: false,
+            }
+        }
+
+        fn mark_restored(&mut self) {
+            self.restored = true;
+        }
+    }
+
+    crate::snap_state!(Shaped {
+        slots [each],
+        sets [grid],
+        regs [words],
+        stamp;
+        derived: restored;
+        after: mark_restored
+    });
+
+    #[test]
+    fn fixed_shapes_round_trip_and_reject_other_counts() {
+        let mut live = Shaped::new(3, 2, 2, 2);
+        live.slots[1] = Some(7);
+        live.sets[1][0] = (0xabc, true);
+        live.regs[1] = [1, 2, 3, 4];
+        live.stamp = 99;
+        let mut w = SnapWriter::new();
+        live.snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut back = Shaped::new(3, 2, 2, 2);
+        let mut r = SnapReader::new(&bytes);
+        back.restore(&mut r).unwrap();
+        r.finish().unwrap();
+        assert!(back.restored, "after-hook ran");
+        back.restored = false;
+        assert_eq!(back, live);
+
+        for (mut fresh, field, want, got) in [
+            (Shaped::new(4, 2, 2, 2), "Shaped.slots", 4, 3),
+            (Shaped::new(3, 5, 2, 2), "Shaped.sets", 5, 2),
+            (Shaped::new(3, 2, 1, 2), "Shaped.sets", 1, 2),
+            (Shaped::new(3, 2, 2, 6), "Shaped.regs", 6, 2),
+        ] {
+            let e = fresh.restore(&mut SnapReader::new(&bytes)).unwrap_err();
+            let counts = format!("built with {want}, checkpoint has {got}");
+            assert!(e.0.contains(field) && e.0.contains(&counts), "{e}");
+            assert!(!fresh.restored, "no after-hook on a failed restore");
+        }
+    }
+
+    fn bytes_of(v: &impl Snap) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.encode(&mut w);
+        w.into_bytes()
+    }
+
+    /// Equal states give equal bytes: maps, sets and heaps are written
+    /// sorted, and an absent `Option` is only its flag.
+    #[test]
+    fn encodings_are_canonical() {
+        let keys = [9u64, 3, 7, 1, 5];
+        let sorted = vec![1u64, 3, 5, 7, 9];
+        let set: HashSet<u64> = keys.into_iter().collect();
+        let heap: BinaryHeap<u64> = keys.into_iter().collect();
+        let map: HashMap<u64, bool> = keys.into_iter().map(|k| (k, k > 4)).collect();
+        let pairs: Vec<(u64, bool)> = sorted.iter().map(|&k| (k, k > 4)).collect();
+        assert_eq!(bytes_of(&set), bytes_of(&sorted));
+        assert_eq!(bytes_of(&heap), bytes_of(&sorted));
+        assert_eq!(bytes_of(&map), bytes_of(&pairs));
+        let back = BinaryHeap::<u64>::decode(&mut SnapReader::new(&bytes_of(&heap))).unwrap();
+        assert_eq!(back.into_sorted_vec(), sorted);
+        assert_eq!(bytes_of(&(None::<u64>, Some(5u16))), [0, 1, 5, 0]);
+    }
+
+    #[test]
+    fn containers_decode_into_their_own_allocation() {
+        let mut v: VecDeque<u32> = VecDeque::with_capacity(64);
+        v.push_back(9);
+        v.restore(&mut SnapReader::new(&bytes_of(&vec![1u32, 2, 3])))
+            .unwrap();
+        assert_eq!(v, [1, 2, 3]);
+        assert!(v.capacity() >= 64, "constructed capacity kept");
+    }
+
+    #[test]
+    fn enum_discriminants_are_the_listed_ones() {
+        #[derive(Debug, PartialEq)]
+        enum Phase {
+            Idle,
+            Busy(u64),
+        }
+        crate::snap_value!(enum Phase { 3 => Idle, 8 => Busy(until) });
+        assert_eq!(bytes_of(&Phase::Idle), [3]);
+        let busy = bytes_of(&Phase::Busy(2));
+        assert_eq!(
+            Phase::decode(&mut SnapReader::new(&busy)).unwrap(),
+            Phase::Busy(2)
+        );
+        let e = Phase::decode(&mut SnapReader::new(&[7])).unwrap_err();
+        assert!(e.0.contains("unknown Phase discriminant 7"), "{e}");
     }
 }

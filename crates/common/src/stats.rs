@@ -37,6 +37,13 @@ pub struct IssueStats {
     pub warp_idle: u64,
 }
 
+crate::snap_value!(IssueStats {
+    issued,
+    exec_unit_busy,
+    dependency_stall,
+    warp_idle
+});
+
 impl IssueStats {
     pub fn no_issue_total(&self) -> u64 {
         self.exec_unit_busy + self.dependency_stall + self.warp_idle
@@ -66,6 +73,13 @@ pub struct CacheStats {
     pub writes: u64,
     pub invalidations: u64,
 }
+
+crate::snap_value!(CacheStats {
+    read_hits,
+    read_misses,
+    writes,
+    invalidations
+});
 
 impl CacheStats {
     pub fn read_accesses(&self) -> u64 {
@@ -98,6 +112,14 @@ pub struct DramStats {
     pub read_bytes: u64,
     pub write_bytes: u64,
 }
+
+crate::snap_value!(DramStats {
+    activations,
+    col_reads,
+    col_writes,
+    read_bytes,
+    write_bytes
+});
 
 impl DramStats {
     pub fn merge(&mut self, o: &DramStats) {

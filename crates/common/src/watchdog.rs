@@ -87,47 +87,11 @@ impl Watchdog {
     pub fn edges(&self) -> &[EdgeProgress] {
         &self.edges
     }
-
-    /// Checkpoint threshold and progress counters. Edge names are static
-    /// fabric labels and are re-supplied at restore via [`Watchdog::new`].
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.threshold);
-        w.u64(self.last_progress);
-        w.u64(self.last_instrs);
-        w.len(self.edges.len());
-        for e in &self.edges {
-            w.u64(e.moves);
-            w.bool(e.last_move.is_some());
-            w.u64(e.last_move.unwrap_or(0));
-        }
-    }
-
-    /// Overwrite the progress counters from a checkpoint stream. `self`
-    /// must be freshly built with the same edge-name list the snapshot was
-    /// taken under (guarded by the checkpoint's config fingerprint).
-    pub fn restore(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        self.threshold = r.u64()?;
-        self.last_progress = r.u64()?;
-        self.last_instrs = r.u64()?;
-        let n = r.len()?;
-        if n != self.edges.len() {
-            return Err(crate::snap::SnapError(format!(
-                "watchdog tracks {} edges, checkpoint has {n}",
-                self.edges.len()
-            )));
-        }
-        for e in &mut self.edges {
-            e.moves = r.u64()?;
-            let present = r.bool()?;
-            let at = r.u64()?;
-            e.last_move = present.then_some(at);
-        }
-        Ok(())
-    }
 }
+
+// Edge names are static fabric labels, supplied again by `Watchdog::new`.
+crate::snap_state!(EdgeProgress { moves, last_move; derived: name });
+crate::snap_state!(Watchdog { threshold, last_progress, last_instrs, edges [each] });
 
 /// Depth of one named queue at stall time.
 #[derive(Debug, Clone, PartialEq, Serialize)]

@@ -2,8 +2,9 @@
 //!
 //! This module owns the *container* format; the component state inside it
 //! is written by [`crate::System::snapshot`] and read back by
-//! [`crate::System::try_restore`] through each component's `snap`/`restore`
-//! codec (`ndp_common::snap`).
+//! [`crate::System::try_restore`]. Each component's codec is generated from
+//! its one field list by `ndp_common::snap_state!` / `snap_value!`, and
+//! restores in place into a freshly constructed machine.
 //!
 //! ## File layout
 //!
@@ -41,15 +42,21 @@ use ndp_compiler::CompiledKernel;
 /// File magic, read/written as a little-endian `u64`.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"NDPCKPT\0");
 
-/// Payload schema version. Bump whenever any component's `snap` layout
-/// changes; old files are then rejected with a `schema` check failure
-/// instead of being misdecoded. v2: the payload checksum became
-/// [`checksum64`] (v1 used FNV-1a), so a v1 file must fail on its schema,
-/// not as a checksum mismatch. v3: the clock section dropped the
-/// intra-cycle threading flag byte (the threaded path is gone), shifting
-/// every later field, so a v2 image must fail on its schema, not
-/// misdecode.
-pub const SCHEMA_VERSION: u32 = 3;
+/// Payload schema version. Bump whenever any component's layout changes;
+/// old files are then rejected with a `schema` check failure instead of
+/// being misdecoded. v2: the payload checksum became [`checksum64`] (v1
+/// used FNV-1a), so a v1 file must fail on its schema, not as a checksum
+/// mismatch. v3: the clock section dropped the intra-cycle threading flag
+/// byte (the threaded path is gone), shifting every later field. v4: every
+/// codec is generated from one field list per type (`ndp_common::snap`),
+/// which normalised the encodings the hand-written pairs had drifted
+/// into. An absent `Option` is now just its flag, with no placeholder
+/// payload. Histogram buckets and SM scoreboards carry a length, as every
+/// fixed-shape sequence does, and an occupancy series carries its
+/// capacity. The vault completion heap is written in `Ord` order. A v3
+/// image no longer lines up with these fields, so it must fail on its
+/// schema instead of misdecoding.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// File extension used for per-workload checkpoints when
 /// `NDP_CHECKPOINT_PATH` / `NDP_RESUME` name a directory.

@@ -107,6 +107,22 @@ impl HillClimb {
     }
 }
 
+/// One NSU's §7.1 read-only cache directory. The FIFO order is the
+/// state; the set indexes it and is rebuilt from it on restore.
+#[derive(Debug, Clone, Default)]
+struct RoDirectory {
+    lines: HashSet<u64>,
+    order: VecDeque<u64>,
+}
+
+impl RoDirectory {
+    fn reindex(&mut self) {
+        self.lines = self.order.iter().copied().collect();
+    }
+}
+
+ndp_common::snap_state!(RoDirectory { order; derived: lines; after: reindex });
+
 /// The system-level offload controller.
 pub struct OffloadController {
     policy: OffloadPolicy,
@@ -129,7 +145,7 @@ pub struct OffloadController {
     /// §7.1 extension: per-NSU read-only cache directory (lines already
     /// shipped), with FIFO replacement. Empty capacity disables it.
     ro_cache_lines: usize,
-    ro_cache: Vec<(HashSet<u64>, VecDeque<u64>)>,
+    ro_cache: Vec<RoDirectory>,
     /// NSU buffer capacities: a block needing more read-data / write-address
     /// entries than exist can never reserve and must run on the GPU.
     read_capacity: usize,
@@ -154,7 +170,7 @@ impl OffloadController {
             wta_inflight: vec![0; cfg.hmc.num_hmcs],
             ro_cache_lines: cfg.nsu.readonly_cache_bytes / cfg.gpu.line_bytes,
             ro_cache: (0..cfg.hmc.num_hmcs)
-                .map(|_| (HashSet::new(), VecDeque::new()))
+                .map(|_| RoDirectory::default())
                 .collect(),
             read_capacity: cfg.nsu.read_data_entries,
             write_capacity: cfg.nsu.write_addr_entries,
@@ -272,115 +288,28 @@ impl OffloadController {
         self.decisions += 1;
         unit_sample(self.seed, sm as u64, self.decisions) < ratio
     }
-
-    /// Checkpoint the credit manager, per-block stats, hill-climb state
-    /// (floats transported bit-exact), the decision counter that drives the
-    /// deterministic sampling stream, WTA in-flight counters and the
-    /// read-only-cache directories (FIFO order is authoritative; the hash
-    /// sets are rebuilt from it). Policy/capacities are config-derived.
-    pub fn snap(&self, w: &mut ndp_common::snap::SnapWriter) {
-        self.mgr.snap(w);
-        w.len(self.block_stats.len());
-        for s in &self.block_stats {
-            w.u64(s.lines);
-            w.u64(s.l1_hits);
-            w.u64(s.l2_hits);
-            w.u64(s.instances);
-            w.u64(s.instrs);
-        }
-        w.f64(self.hc.ratio);
-        w.f64(self.hc.step);
-        w.f64(self.hc.dir);
-        w.bool(self.hc.prev_ipc.is_some());
-        w.f64(self.hc.prev_ipc.unwrap_or(0.0));
-        w.len(self.hc.dir_change_history.len());
-        for c in &self.hc.dir_change_history {
-            w.bool(*c);
-        }
-        w.u64(self.hc.next_epoch_end);
-        w.u64(self.hc.epoch_instrs);
-        w.u64(self.decisions);
-        w.u64(self.offered);
-        w.u64(self.offloaded);
-        w.len(self.wta_inflight.len());
-        for c in &self.wta_inflight {
-            w.u64(*c);
-        }
-        w.len(self.ro_cache.len());
-        for (_, order) in &self.ro_cache {
-            w.len(order.len());
-            for line in order {
-                w.u64(*line);
-            }
-        }
-    }
-
-    /// Overwrite from a checkpoint stream; `self` must be freshly built
-    /// against the same config and kernel (vector shapes are validated).
-    pub fn restore(
-        &mut self,
-        r: &mut ndp_common::snap::SnapReader<'_>,
-    ) -> Result<(), ndp_common::snap::SnapError> {
-        self.mgr.restore(r)?;
-        let nb = r.len()?;
-        if nb != self.block_stats.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "controller tracks {} blocks, checkpoint has {nb}",
-                self.block_stats.len()
-            )));
-        }
-        for s in &mut self.block_stats {
-            s.lines = r.u64()?;
-            s.l1_hits = r.u64()?;
-            s.l2_hits = r.u64()?;
-            s.instances = r.u64()?;
-            s.instrs = r.u64()?;
-        }
-        self.hc.ratio = r.f64()?;
-        self.hc.step = r.f64()?;
-        self.hc.dir = r.f64()?;
-        let has_prev = r.bool()?;
-        let prev = r.f64()?;
-        self.hc.prev_ipc = has_prev.then_some(prev);
-        self.hc.dir_change_history.clear();
-        for _ in 0..r.len()? {
-            let c = r.bool()?;
-            self.hc.dir_change_history.push_back(c);
-        }
-        self.hc.next_epoch_end = r.u64()?;
-        self.hc.epoch_instrs = r.u64()?;
-        self.decisions = r.u64()?;
-        self.offered = r.u64()?;
-        self.offloaded = r.u64()?;
-        let nw = r.len()?;
-        if nw != self.wta_inflight.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "controller tracks {} WTA counters, checkpoint has {nw}",
-                self.wta_inflight.len()
-            )));
-        }
-        for c in &mut self.wta_inflight {
-            *c = r.u64()?;
-        }
-        let nc = r.len()?;
-        if nc != self.ro_cache.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "controller tracks {} ro-cache directories, checkpoint has {nc}",
-                self.ro_cache.len()
-            )));
-        }
-        for (set, order) in &mut self.ro_cache {
-            set.clear();
-            order.clear();
-            for _ in 0..r.len()? {
-                let line = r.u64()?;
-                set.insert(line);
-                order.push_back(line);
-            }
-        }
-        Ok(())
-    }
 }
+
+ndp_common::snap_value!(BlockStats {
+    lines,
+    l1_hits,
+    l2_hits,
+    instances,
+    instrs,
+});
+
+ndp_common::snap_state!(HillClimb {
+    ratio, step, dir, prev_ipc, dir_change_history, next_epoch_end, epoch_instrs;
+    derived: cfg
+});
+
+// The decision counter drives the deterministic sampling stream.
+ndp_common::snap_state!(OffloadController {
+    mgr, block_stats [each], hc, decisions, offered, offloaded, wta_inflight [each],
+    ro_cache [each];
+    derived: policy, blocks, seed, line_bytes, warp_width, word_bytes, ro_cache_lines,
+        read_capacity, write_capacity
+});
 
 impl NdpEnv for OffloadController {
     fn decide_offload(&mut self, sm: u16, block: u16) -> bool {
@@ -436,15 +365,14 @@ impl NdpEnv for OffloadController {
         if self.ro_cache_lines == 0 {
             return false;
         }
-        let (set, order) = &mut self.ro_cache[nsu.0 as usize];
-        if set.contains(&line) {
+        let dir = &mut self.ro_cache[nsu.0 as usize];
+        if !dir.lines.insert(line) {
             return true;
         }
-        set.insert(line);
-        order.push_back(line);
-        if order.len() > self.ro_cache_lines {
-            if let Some(evicted) = order.pop_front() {
-                set.remove(&evicted);
+        dir.order.push_back(line);
+        if dir.order.len() > self.ro_cache_lines {
+            if let Some(evicted) = dir.order.pop_front() {
+                dir.lines.remove(&evicted);
             }
         }
         false

@@ -14,7 +14,7 @@ use ndp_common::obs::perf::{Perf, PerfConfig, StageOutcome};
 use ndp_common::obs::{Obs, ObsConfig};
 use ndp_common::packet::{Packet, PacketKind};
 use ndp_common::port::{Component, Edge, Fabric, FabricCtx, Op, Stage};
-use ndp_common::snap::{SnapError, SnapReader};
+use ndp_common::snap::{self, SnapError, SnapReader, SnapState};
 use ndp_common::watchdog::{
     CreditBalance, QueueDepth, StallReport, Watchdog, DEFAULT_WATCHDOG_CYCLES,
 };
@@ -759,58 +759,60 @@ impl System {
     /// which are host-side diagnostics that never influence simulated
     /// state.
     pub fn snapshot(&self) -> Vec<u8> {
+        let System {
+            cfg: _,
+            kernel: _,
+            fp: _,
+            sms,
+            slices,
+            up,
+            down,
+            stacks,
+            net,
+            nsus,
+            ctrl,
+            tracer: _,
+            obs,
+            perf: _,
+            invariants,
+            watchdog,
+            faults,
+            now,
+            ndp_on: _,
+            nsu_div: _,
+            skip,
+        } = self;
         let mut w = checkpoint::writer();
         w.tag(SEC_CLOCK);
-        w.u64(self.now);
-        w.bool(self.skip);
+        now.snap(&mut w);
+        skip.snap(&mut w);
         w.tag(SEC_SMS);
-        w.len(self.sms.len());
-        for sm in &self.sms {
-            sm.snap(&mut w);
-        }
+        snap::snap_each(sms, &mut w);
         w.tag(SEC_SLICES);
-        w.len(self.slices.len());
-        for s in &self.slices {
-            s.snap(&mut w);
-        }
+        snap::snap_each(slices, &mut w);
         w.tag(SEC_LINKS);
-        w.len(self.up.len());
-        for l in &self.up {
-            l.snap(&mut w);
-        }
-        w.len(self.down.len());
-        for l in &self.down {
-            l.snap(&mut w);
-        }
+        snap::snap_each(up, &mut w);
+        snap::snap_each(down, &mut w);
         w.tag(SEC_STACKS);
-        w.len(self.stacks.len());
-        for st in &self.stacks {
-            st.snap(&mut w);
-        }
+        snap::snap_each(stacks, &mut w);
         w.tag(SEC_NET);
-        self.net.snap(&mut w);
+        net.snap(&mut w);
         w.tag(SEC_NSUS);
-        w.len(self.nsus.len());
-        for n in &self.nsus {
-            n.snap(&mut w);
-        }
+        snap::snap_each(nsus, &mut w);
         w.tag(SEC_CTRL);
-        self.ctrl.snap(&mut w);
+        ctrl.snap(&mut w);
         w.tag(SEC_INVARIANTS);
-        self.invariants.snap(&mut w);
+        invariants.snap(&mut w);
         w.tag(SEC_WATCHDOG);
-        w.bool(self.watchdog.is_some());
-        if let Some(wd) = &self.watchdog {
+        w.bool(watchdog.is_some());
+        if let Some(wd) = watchdog {
             wd.snap(&mut w);
         }
         w.tag(SEC_FAULTS);
-        w.bool(self.faults.is_some());
-        if let Some(f) = &self.faults {
-            f.snap(&mut w);
-        }
+        faults.snap(&mut w);
         w.tag(SEC_OBS);
-        self.obs.snap(&mut w);
-        checkpoint::seal(self.fingerprints(), self.now, w)
+        obs.snap(&mut w);
+        checkpoint::seal(self.fingerprints(), *now, w)
     }
 
     /// Rebuild a system from a checkpoint image taken by
@@ -855,49 +857,22 @@ impl System {
 
     /// Overwrite the freshly constructed machine from a verified payload.
     fn restore_payload(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        fn expect(what: &str, want: usize, got: usize) -> Result<(), SnapError> {
-            if want == got {
-                Ok(())
-            } else {
-                Err(SnapError(format!(
-                    "system has {want} {what}, checkpoint has {got}"
-                )))
-            }
-        }
         r.tag(SEC_CLOCK, "clock")?;
-        self.now = r.u64()?;
-        self.skip = r.bool()?;
+        self.now.restore(r)?;
+        self.skip.restore(r)?;
         r.tag(SEC_SMS, "sms")?;
-        expect("SMs", self.sms.len(), r.len()?)?;
-        for sm in &mut self.sms {
-            sm.restore(r)?;
-        }
+        snap::restore_each(&mut self.sms, r, "System.sms")?;
         r.tag(SEC_SLICES, "slices")?;
-        expect("L2 slices", self.slices.len(), r.len()?)?;
-        for s in &mut self.slices {
-            s.restore(r)?;
-        }
+        snap::restore_each(&mut self.slices, r, "System.slices")?;
         r.tag(SEC_LINKS, "links")?;
-        expect("up links", self.up.len(), r.len()?)?;
-        for l in &mut self.up {
-            l.restore(r)?;
-        }
-        expect("down links", self.down.len(), r.len()?)?;
-        for l in &mut self.down {
-            l.restore(r)?;
-        }
+        snap::restore_each(&mut self.up, r, "System.up")?;
+        snap::restore_each(&mut self.down, r, "System.down")?;
         r.tag(SEC_STACKS, "stacks")?;
-        expect("HMC stacks", self.stacks.len(), r.len()?)?;
-        for st in &mut self.stacks {
-            st.restore(r)?;
-        }
+        snap::restore_each(&mut self.stacks, r, "System.stacks")?;
         r.tag(SEC_NET, "memnet")?;
         self.net.restore(r)?;
         r.tag(SEC_NSUS, "nsus")?;
-        expect("NSUs", self.nsus.len(), r.len()?)?;
-        for n in &mut self.nsus {
-            n.restore(r)?;
-        }
+        snap::restore_each(&mut self.nsus, r, "System.nsus")?;
         r.tag(SEC_CTRL, "offload controller")?;
         self.ctrl.restore(r)?;
         r.tag(SEC_INVARIANTS, "invariants")?;
@@ -911,14 +886,9 @@ impl System {
             None
         };
         r.tag(SEC_FAULTS, "faults")?;
-        self.faults = if r.bool()? {
-            Some(FaultInjector::restore(r)?)
-        } else {
-            None
-        };
+        self.faults.restore(r)?;
         r.tag(SEC_OBS, "obs")?;
-        self.obs = Obs::restore(r)?;
-        Ok(())
+        self.obs.restore(r)
     }
 
     /// Snapshot to `path` atomically (temp file + rename), so an

@@ -108,30 +108,12 @@ impl Bank {
     }
 }
 
-impl Bank {
-    /// Checkpoint the open row and command-spacing horizons.
-    pub fn snap(&self, w: &mut ndp_common::snap::SnapWriter) {
-        w.bool(self.open_row.is_some());
-        w.u64(self.open_row.unwrap_or(0));
-        w.u64(self.next_act);
-        w.u64(self.next_cas);
-        w.u64(self.next_pre);
-    }
-
-    /// Overwrite from a checkpoint stream.
-    pub fn restore(
-        &mut self,
-        r: &mut ndp_common::snap::SnapReader<'_>,
-    ) -> Result<(), ndp_common::snap::SnapError> {
-        let open = r.bool()?;
-        let row = r.u64()?;
-        self.open_row = open.then_some(row);
-        self.next_act = r.u64()?;
-        self.next_cas = r.u64()?;
-        self.next_pre = r.u64()?;
-        Ok(())
-    }
-}
+ndp_common::snap_value!(Bank {
+    open_row,
+    next_act,
+    next_cas,
+    next_pre,
+});
 
 impl Default for Bank {
     fn default() -> Self {

@@ -9,6 +9,7 @@
 use std::collections::BinaryHeap;
 
 use ndp_common::config::{DramTiming, HmcConfig};
+use ndp_common::snap::Snap;
 use ndp_common::stats::DramStats;
 
 /// A vault memory request.
@@ -166,110 +167,21 @@ impl<T> VaultController<T> {
     pub fn next_done_at(&self) -> Option<u64> {
         self.done.peek().map(|d| d.at)
     }
-
-    /// Checkpoint queue, banks, bus horizon, in-flight heap (sorted by
-    /// `(at, seq)` for byte-stable output — heap internal order is not
-    /// deterministic across builds) and stats. Timing/capacities are
-    /// config-derived and come from fresh construction on restore.
-    /// `payload` encodes the opaque completion payload.
-    pub fn snap(
-        &self,
-        w: &mut ndp_common::snap::SnapWriter,
-        payload: impl Fn(&mut ndp_common::snap::SnapWriter, &T),
-    ) {
-        fn req<T>(
-            w: &mut ndp_common::snap::SnapWriter,
-            r: &VaultRequest<T>,
-            payload: &impl Fn(&mut ndp_common::snap::SnapWriter, &T),
-        ) {
-            w.u8(r.bank);
-            w.u64(r.row);
-            w.u32(r.bytes);
-            w.bool(r.is_write);
-            payload(w, &r.payload);
-        }
-        w.len(self.queue.len());
-        for q in &self.queue {
-            req(w, q, &payload);
-        }
-        w.len(self.banks.len());
-        for b in &self.banks {
-            b.snap(w);
-        }
-        w.u64(self.bus_free);
-        let mut done: Vec<&Done<T>> = self.done.iter().collect();
-        done.sort_unstable_by_key(|d| (d.at, d.seq));
-        w.len(done.len());
-        for d in done {
-            w.u64(d.at);
-            w.u64(d.seq);
-            req(w, &d.req, &payload);
-        }
-        w.u64(self.seq);
-        w.u64(self.stats.activations);
-        w.u64(self.stats.col_reads);
-        w.u64(self.stats.col_writes);
-        w.u64(self.stats.read_bytes);
-        w.u64(self.stats.write_bytes);
-    }
-
-    /// Overwrite from a checkpoint stream; `self` must be freshly built
-    /// against the same config (bank count is validated).
-    pub fn restore(
-        &mut self,
-        r: &mut ndp_common::snap::SnapReader<'_>,
-        payload: impl Fn(
-            &mut ndp_common::snap::SnapReader<'_>,
-        ) -> Result<T, ndp_common::snap::SnapError>,
-    ) -> Result<(), ndp_common::snap::SnapError> {
-        fn req<T>(
-            r: &mut ndp_common::snap::SnapReader<'_>,
-            payload: &impl Fn(
-                &mut ndp_common::snap::SnapReader<'_>,
-            ) -> Result<T, ndp_common::snap::SnapError>,
-        ) -> Result<VaultRequest<T>, ndp_common::snap::SnapError> {
-            Ok(VaultRequest {
-                bank: r.u8()?,
-                row: r.u64()?,
-                bytes: r.u32()?,
-                is_write: r.bool()?,
-                payload: payload(r)?,
-            })
-        }
-        self.queue.clear();
-        for _ in 0..r.len()? {
-            self.queue.push(req(r, &payload)?);
-        }
-        let nbanks = r.len()?;
-        if nbanks != self.banks.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "vault has {} banks, checkpoint has {nbanks}",
-                self.banks.len()
-            )));
-        }
-        for b in &mut self.banks {
-            b.restore(r)?;
-        }
-        self.bus_free = r.u64()?;
-        self.done.clear();
-        for _ in 0..r.len()? {
-            let at = r.u64()?;
-            let seq = r.u64()?;
-            self.done.push(Done {
-                at,
-                seq,
-                req: req(r, &payload)?,
-            });
-        }
-        self.seq = r.u64()?;
-        self.stats.activations = r.u64()?;
-        self.stats.col_reads = r.u64()?;
-        self.stats.col_writes = r.u64()?;
-        self.stats.read_bytes = r.u64()?;
-        self.stats.write_bytes = r.u64()?;
-        Ok(())
-    }
 }
+
+ndp_common::snap_value!(VaultRequest<T: Snap> {
+    bank,
+    row,
+    bytes,
+    is_write,
+    payload,
+});
+ndp_common::snap_value!(Done<T: Snap> { at, seq, req });
+
+ndp_common::snap_state!(VaultController<T: Snap> {
+    queue, banks [each], bus_free, done, seq, stats;
+    derived: timing, capacity, burst_bytes
+});
 
 #[cfg(test)]
 mod tests {

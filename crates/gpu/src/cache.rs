@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 
+use ndp_common::snap::Snap;
 use ndp_common::stats::CacheStats;
 
 /// Result of a read probe.
@@ -38,7 +39,7 @@ pub struct Cache<W> {
     mshr_capacity: usize,
     use_clock: u64,
     /// Bumped whenever line residency or MSHR occupancy may have changed
-    /// (MSHR allocation, `fill`, `invalidate`, `restore`): a verdict
+    /// (MSHR allocation, `fill`, `invalidate`, restore): a verdict
     /// computed from `contains` and `mshr_used` holds while it is equal.
     epoch: u64,
     /// Test-only fault: `fill` leaves `epoch` alone, so memos keyed on it
@@ -174,87 +175,23 @@ impl<W> Cache<W> {
         self.epoch
     }
 
-    /// Checkpoint the tag array, MSHR table (sorted by line address for
-    /// byte-stable output), LRU clock and stats. Geometry is config-derived
-    /// and comes from fresh construction on restore. `waiter` encodes the
-    /// opaque miss payload.
-    pub fn snap(
-        &self,
-        w: &mut ndp_common::snap::SnapWriter,
-        waiter: impl Fn(&mut ndp_common::snap::SnapWriter, &W),
-    ) {
-        w.len(self.sets.len());
-        for set in &self.sets {
-            w.len(set.len());
-            for l in set {
-                w.u64(l.tag);
-                w.bool(l.valid);
-                w.u64(l.last_use);
-            }
-        }
-        let mut mshrs: Vec<(&u64, &Vec<W>)> = self.mshrs.iter().collect();
-        mshrs.sort_unstable_by_key(|(&a, _)| a);
-        w.len(mshrs.len());
-        for (&line, waiters) in mshrs {
-            w.u64(line);
-            w.len(waiters.len());
-            for wt in waiters {
-                waiter(w, wt);
-            }
-        }
-        w.u64(self.use_clock);
-        w.u64(self.stats.read_hits);
-        w.u64(self.stats.read_misses);
-        w.u64(self.stats.writes);
-        w.u64(self.stats.invalidations);
-    }
-
-    /// Overwrite from a checkpoint stream; `self` must be freshly built with
-    /// the same geometry (set/way counts are validated).
-    pub fn restore(
-        &mut self,
-        r: &mut ndp_common::snap::SnapReader<'_>,
-        waiter: impl Fn(&mut ndp_common::snap::SnapReader<'_>) -> Result<W, ndp_common::snap::SnapError>,
-    ) -> Result<(), ndp_common::snap::SnapError> {
+    /// A restored cache starts a new epoch: memos do not survive restore.
+    fn restored(&mut self) {
         self.epoch += 1;
-        let nsets = r.len()?;
-        if nsets != self.sets.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "cache has {} sets, checkpoint has {nsets}",
-                self.sets.len()
-            )));
-        }
-        for set in &mut self.sets {
-            let nways = r.len()?;
-            if nways != set.len() {
-                return Err(ndp_common::snap::SnapError(format!(
-                    "cache set has {} ways, checkpoint has {nways}",
-                    set.len()
-                )));
-            }
-            for l in set {
-                l.tag = r.u64()?;
-                l.valid = r.bool()?;
-                l.last_use = r.u64()?;
-            }
-        }
-        self.mshrs.clear();
-        for _ in 0..r.len()? {
-            let line = r.u64()?;
-            let mut waiters = Vec::new();
-            for _ in 0..r.len()? {
-                waiters.push(waiter(r)?);
-            }
-            self.mshrs.insert(line, waiters);
-        }
-        self.use_clock = r.u64()?;
-        self.stats.read_hits = r.u64()?;
-        self.stats.read_misses = r.u64()?;
-        self.stats.writes = r.u64()?;
-        self.stats.invalidations = r.u64()?;
-        Ok(())
     }
 }
+
+ndp_common::snap_value!(LineState {
+    tag,
+    valid,
+    last_use
+});
+
+ndp_common::snap_state!(Cache<W: Snap> {
+    sets [grid], mshrs, use_clock, stats;
+    derived: set_mask, line_shift, mshr_capacity, epoch, sabotage_skip_fill_epoch;
+    after: restored
+});
 
 #[cfg(test)]
 mod tests {

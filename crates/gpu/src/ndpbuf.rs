@@ -65,33 +65,6 @@ impl BufferManager {
         )
     }
 
-    /// Checkpoint every per-HMC credit triple.
-    pub fn snap(&self, w: &mut ndp_common::snap::SnapWriter) {
-        w.len(self.per_hmc.len());
-        for c in &self.per_hmc {
-            c.snap(w);
-        }
-    }
-
-    /// Overwrite from a checkpoint stream; `self` must be freshly built
-    /// against the same config (HMC count is validated).
-    pub fn restore(
-        &mut self,
-        r: &mut ndp_common::snap::SnapReader<'_>,
-    ) -> Result<(), ndp_common::snap::SnapError> {
-        let n = r.len()?;
-        if n != self.per_hmc.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "buffer manager tracks {} HMCs, checkpoint has {n}",
-                self.per_hmc.len()
-            )));
-        }
-        for c in &mut self.per_hmc {
-            c.restore(r)?;
-        }
-        Ok(())
-    }
-
     /// Credits currently reserved across all HMCs, per buffer class:
     /// `(cmd, read_data, write_addr)` — occupancy of the NSU buffers this
     /// manager guards, as seen from the GPU side.
@@ -105,6 +78,8 @@ impl BufferManager {
         })
     }
 }
+
+ndp_common::snap_state!(BufferManager { per_hmc [each] });
 
 /// Per-SM pending + ready packet buffers (Table 2: 300 and 64 entries).
 ///
@@ -184,40 +159,12 @@ impl SmPacketBuffers {
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty() && self.ready.is_empty()
     }
-
-    /// Checkpoint both queues and their high-water marks. Capacities are
-    /// config-derived and come from fresh construction on restore.
-    pub fn snap(&self, w: &mut ndp_common::snap::SnapWriter) {
-        w.len(self.pending.len());
-        for p in &self.pending {
-            p.snap(w);
-        }
-        w.len(self.ready.len());
-        for p in &self.ready {
-            p.snap(w);
-        }
-        w.usize(self.pending_peak);
-        w.usize(self.ready_peak);
-    }
-
-    /// Overwrite from a checkpoint stream.
-    pub fn restore(
-        &mut self,
-        r: &mut ndp_common::snap::SnapReader<'_>,
-    ) -> Result<(), ndp_common::snap::SnapError> {
-        self.pending.clear();
-        for _ in 0..r.len()? {
-            self.pending.push_back(Packet::restore(r)?);
-        }
-        self.ready.clear();
-        for _ in 0..r.len()? {
-            self.ready.push_back(Packet::restore(r)?);
-        }
-        self.pending_peak = r.usize()?;
-        self.ready_peak = r.usize()?;
-        Ok(())
-    }
 }
+
+ndp_common::snap_state!(SmPacketBuffers {
+    pending, ready, pending_peak, ready_peak;
+    derived: pending_cap, ready_cap
+});
 
 #[cfg(test)]
 mod tests {

@@ -21,6 +21,7 @@ use ndp_common::ids::{Cycle, HmcId, Node, OffloadId, OffloadToken};
 use ndp_common::memmap::MemMap;
 use ndp_common::packet::{LineAccess, Packet, PacketKind};
 use ndp_common::port::OutPort;
+use ndp_common::snap::{self, SnapError, SnapReader, SnapState, SnapWriter};
 use ndp_common::stats::{IssueStats, NoIssue};
 use ndp_compiler::CompiledKernel;
 use ndp_isa::exec::{StepLite, WarpExec};
@@ -174,6 +175,50 @@ impl Blocked {
         }
     }
 }
+
+impl WarpSlot {
+    /// A warp at its first instruction, scoreboard sized to its register
+    /// file.
+    fn new(exec: WarpExec, cta: u32) -> Self {
+        WarpSlot {
+            reg_ready: vec![0; exec.num_regs()],
+            exec,
+            cta,
+            state: WState::Ready,
+            ofl: None,
+            local_block: None,
+            wake_at: 0,
+            coalesced: None,
+            blocked: None,
+        }
+    }
+}
+
+ndp_common::snap_value!(enum WState {
+    0 => Ready,
+    1 => Barrier,
+    2 => WaitAck,
+});
+ndp_common::snap_value!(OflCtx {
+    block,
+    token,
+    target,
+    seq,
+    reserved,
+    staged,
+});
+// The blocked-verdict memo is `None` after a restore.
+ndp_common::snap_state!(WarpSlot {
+    exec, cta, reg_ready [words], state, ofl, local_block, wake_at, coalesced;
+    derived: blocked
+});
+ndp_common::snap_value!(Inflight { slot, block });
+ndp_common::snap_value!(LoadTrack {
+    slot,
+    inc,
+    dst,
+    remaining,
+});
 
 /// In-flight offload bookkeeping (per SM).
 struct Inflight {
@@ -332,255 +377,6 @@ impl Sm {
 
     pub fn l1_stats(&self) -> ndp_common::stats::CacheStats {
         self.l1d.stats
-    }
-
-    /// Checkpoint every mutable field: warp slots (functional executor state,
-    /// scoreboard, offload context, coalesce memo), launch queue, L1D +
-    /// MSHRs, load tracking, token counters, in-flight offloads, NDP packet
-    /// buffers, output port, barrier/CTA bookkeeping and statistics. Maps
-    /// are written sorted by key for byte-stable output; `kernel`, `memmap`,
-    /// `cfg` and `seed` are config/kernel-derived and come from fresh
-    /// construction on restore.
-    pub fn snap(&self, w: &mut ndp_common::snap::SnapWriter) {
-        w.len(self.slots.len());
-        for s in &self.slots {
-            w.bool(s.is_some());
-            let Some(slot) = s else { continue };
-            slot.exec.snap(w);
-            w.u32(slot.cta);
-            w.u64s(&slot.reg_ready);
-            w.u8(match slot.state {
-                WState::Ready => 0,
-                WState::Barrier => 1,
-                WState::WaitAck => 2,
-            });
-            w.bool(slot.ofl.is_some());
-            if let Some(ofl) = &slot.ofl {
-                w.u16(ofl.block);
-                w.u64(ofl.token.0);
-                w.bool(ofl.target.is_some());
-                w.u8(ofl.target.map_or(0, |h| h.0));
-                w.u16(ofl.seq);
-                w.bool(ofl.reserved);
-                w.len(ofl.staged.len());
-                for p in &ofl.staged {
-                    p.snap(w);
-                }
-            }
-            w.bool(slot.local_block.is_some());
-            w.u16(slot.local_block.unwrap_or(0));
-            w.u64(slot.wake_at);
-            w.bool(slot.coalesced.is_some());
-            if let Some((execd, accesses)) = &slot.coalesced {
-                w.u64(*execd);
-                w.len(accesses.len());
-                for a in accesses.iter() {
-                    a.snap(w);
-                }
-            }
-        }
-        w.len(self.incarnation.len());
-        for i in &self.incarnation {
-            w.u32(*i);
-        }
-        w.len(self.launch_queue.len());
-        for (wg, active, cta) in &self.launch_queue {
-            w.u32(*wg);
-            w.u32(*active);
-            w.u32(*cta);
-        }
-        self.l1d.snap(w, |w, &track| w.u64(track));
-        let mut tracks: Vec<(&u64, &LoadTrack)> = self.load_tracks.iter().collect();
-        tracks.sort_unstable_by_key(|(&k, _)| k);
-        w.len(tracks.len());
-        for (&k, t) in tracks {
-            w.u64(k);
-            w.usize(t.slot);
-            w.u32(t.inc);
-            w.u8(t.dst.0);
-            w.u32(t.remaining);
-        }
-        w.u64(self.next_track);
-        w.u64(self.next_token);
-        let mut infl: Vec<(&OffloadToken, &Inflight)> = self.inflight.iter().collect();
-        infl.sort_unstable_by_key(|(&t, _)| t);
-        w.len(infl.len());
-        for (&t, i) in infl {
-            w.u64(t.0);
-            w.usize(i.slot);
-            w.u16(i.block);
-        }
-        self.buffers.snap(w);
-        self.out.snap(w);
-        let mut barriers: Vec<(u32, u32)> =
-            self.barrier_arrived.iter().map(|(&c, &n)| (c, n)).collect();
-        barriers.sort_unstable();
-        w.len(barriers.len());
-        for (c, n) in barriers {
-            w.u32(c);
-            w.u32(n);
-        }
-        let mut alive: Vec<(u32, u32)> = self.cta_alive.iter().map(|(&c, &n)| (c, n)).collect();
-        alive.sort_unstable();
-        w.len(alive.len());
-        for (c, n) in alive {
-            w.u32(c);
-            w.u32(n);
-        }
-        w.usize(self.rr_cursor);
-        w.u64(self.stats.issued);
-        w.u64(self.stats.exec_unit_busy);
-        w.u64(self.stats.dependency_stall);
-        w.u64(self.stats.warp_idle);
-        w.u64(self.block_instrs);
-        w.u64(self.warps_retired);
-    }
-
-    /// Overwrite from a checkpoint stream; `self` must be freshly built
-    /// against the same config and kernel (slot count is validated).
-    pub fn restore(
-        &mut self,
-        r: &mut ndp_common::snap::SnapReader<'_>,
-    ) -> Result<(), ndp_common::snap::SnapError> {
-        let ns = r.len()?;
-        if ns != self.slots.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "sm has {} warp slots, checkpoint has {ns}",
-                self.slots.len()
-            )));
-        }
-        for s in &mut self.slots {
-            if !r.bool()? {
-                *s = None;
-                continue;
-            }
-            // Shape from construction (match_end comes from the program);
-            // every dynamic field is overwritten by the restore below.
-            let mut exec = WarpExec::new(&self.kernel.program, 0, 0, self.seed);
-            exec.restore(r)?;
-            let cta = r.u32()?;
-            let mut reg_ready = vec![0; exec.num_regs()];
-            r.u64s(&mut reg_ready)?;
-            let state = match r.u8()? {
-                0 => WState::Ready,
-                1 => WState::Barrier,
-                2 => WState::WaitAck,
-                other => {
-                    return Err(ndp_common::snap::SnapError(format!(
-                        "unknown warp state discriminant {other}"
-                    )))
-                }
-            };
-            let ofl = if r.bool()? {
-                let block = r.u16()?;
-                let token = OffloadToken(r.u64()?);
-                let has_target = r.bool()?;
-                let target_raw = r.u8()?;
-                let seq = r.u16()?;
-                let reserved = r.bool()?;
-                let mut staged = VecDeque::new();
-                for _ in 0..r.len()? {
-                    staged.push_back(Packet::restore(r)?);
-                }
-                Some(OflCtx {
-                    block,
-                    token,
-                    target: has_target.then_some(HmcId(target_raw)),
-                    seq,
-                    reserved,
-                    staged,
-                })
-            } else {
-                None
-            };
-            let has_local = r.bool()?;
-            let local_raw = r.u16()?;
-            let wake_at = r.u64()?;
-            let coalesced = if r.bool()? {
-                let execd = r.u64()?;
-                let mut accesses = Vec::new();
-                for _ in 0..r.len()? {
-                    accesses.push(LineAccess::restore(r)?);
-                }
-                Some((execd, accesses))
-            } else {
-                None
-            };
-            *s = Some(WarpSlot {
-                exec,
-                cta,
-                reg_ready,
-                state,
-                ofl,
-                local_block: has_local.then_some(local_raw),
-                wake_at,
-                coalesced,
-                blocked: None,
-            });
-        }
-        let ni = r.len()?;
-        if ni != self.incarnation.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "sm has {} incarnation slots, checkpoint has {ni}",
-                self.incarnation.len()
-            )));
-        }
-        for i in &mut self.incarnation {
-            *i = r.u32()?;
-        }
-        self.launch_queue.clear();
-        for _ in 0..r.len()? {
-            let wg = r.u32()?;
-            let active = r.u32()?;
-            let cta = r.u32()?;
-            self.launch_queue.push_back((wg, active, cta));
-        }
-        self.l1d.restore(r, |r| r.u64())?;
-        self.load_tracks.clear();
-        for _ in 0..r.len()? {
-            let k = r.u64()?;
-            let t = LoadTrack {
-                slot: r.usize()?,
-                inc: r.u32()?,
-                dst: Reg(r.u8()?),
-                remaining: r.u32()?,
-            };
-            self.load_tracks.insert(k, t);
-        }
-        self.next_track = r.u64()?;
-        self.next_token = r.u64()?;
-        self.inflight.clear();
-        for _ in 0..r.len()? {
-            let t = OffloadToken(r.u64()?);
-            let i = Inflight {
-                slot: r.usize()?,
-                block: r.u16()?,
-            };
-            self.inflight.insert(t, i);
-        }
-        self.buffers.restore(r)?;
-        self.out.restore(r)?;
-        self.barrier_arrived.clear();
-        for _ in 0..r.len()? {
-            let c = r.u32()?;
-            let n = r.u32()?;
-            self.barrier_arrived.insert(c, n);
-        }
-        self.cta_alive.clear();
-        for _ in 0..r.len()? {
-            let c = r.u32()?;
-            let n = r.u32()?;
-            self.cta_alive.insert(c, n);
-        }
-        self.rr_cursor = r.usize()?;
-        self.stats.issued = r.u64()?;
-        self.stats.exec_unit_busy = r.u64()?;
-        self.stats.dependency_stall = r.u64()?;
-        self.stats.warp_idle = r.u64()?;
-        self.block_instrs = r.u64()?;
-        self.warps_retired = r.u64()?;
-        self.rebuild_sched();
-        Ok(())
     }
 
     /// Rebuild every derived scheduler structure from `slots` (restore
@@ -955,17 +751,7 @@ impl Sm {
                 *self.cta_alive.entry(cta).or_insert(0) += 1;
                 self.incarnation[i] += 1;
                 let exec = WarpExec::new(&self.kernel.program, wg, active, self.seed);
-                self.slots[i] = Some(WarpSlot {
-                    reg_ready: vec![0; exec.num_regs()],
-                    exec,
-                    cta,
-                    state: WState::Ready,
-                    ofl: None,
-                    local_block: None,
-                    wake_at: 0,
-                    coalesced: None,
-                    blocked: None,
-                });
+                self.slots[i] = Some(WarpSlot::new(exec, cta));
                 self.ready_state_count += 1;
                 self.sched_ready.insert(i);
             }
@@ -1934,6 +1720,104 @@ fn ofl_block(slot: Option<&WarpSlot>) -> u16 {
     slot.and_then(|s| s.ofl.as_ref())
         .map(|o| o.block)
         .unwrap_or(0)
+}
+
+/// Written by hand because a warp slot's executor is built from the
+/// kernel before its state is restored into it, and the scheduler indices
+/// are rebuilt afterwards. `cfg`, `kernel`, `memmap` and `seed` come from
+/// construction; everything below `warps_retired` is derived (scheduler
+/// indices) or host-side telemetry.
+impl SnapState for Sm {
+    fn snap(&self, w: &mut SnapWriter) {
+        let Sm {
+            cfg: _,
+            kernel: _,
+            memmap: _,
+            slots,
+            incarnation,
+            launch_queue,
+            l1d,
+            load_tracks,
+            next_track,
+            next_token,
+            inflight,
+            buffers,
+            out,
+            barrier_arrived,
+            cta_alive,
+            rr_cursor,
+            seed: _,
+            stats,
+            block_instrs,
+            warps_retired,
+            sched_ready: _,
+            wake_wheel: _,
+            wheel_serviced_at: _,
+            retry_set: _,
+            promote_set: _,
+            ready_state_count: _,
+            staged_total: _,
+            ready_ticks: _,
+            ready_sum: _,
+            structural_retries: _,
+            memo_answers: _,
+            sabotage_drop_wheel: _,
+            sabotage_skip_fill_epoch: _,
+        } = self;
+        w.len(slots.len());
+        for slot in slots {
+            w.bool(slot.is_some());
+            if let Some(slot) = slot {
+                slot.snap(w);
+            }
+        }
+        snap::snap_each(incarnation, w);
+        launch_queue.snap(w);
+        l1d.snap(w);
+        load_tracks.snap(w);
+        next_track.snap(w);
+        next_token.snap(w);
+        inflight.snap(w);
+        buffers.snap(w);
+        out.snap(w);
+        barrier_arrived.snap(w);
+        cta_alive.snap(w);
+        rr_cursor.snap(w);
+        stats.snap(w);
+        block_instrs.snap(w);
+        warps_retired.snap(w);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        snap::expect_count(r, "Sm.slots", self.slots.len())?;
+        for slot in &mut self.slots {
+            *slot = if r.bool()? {
+                let exec = WarpExec::new(&self.kernel.program, 0, 0, self.seed);
+                let mut s = WarpSlot::new(exec, 0);
+                s.restore(r)?;
+                Some(s)
+            } else {
+                None
+            };
+        }
+        snap::restore_each(&mut self.incarnation, r, "Sm.incarnation")?;
+        self.launch_queue.restore(r)?;
+        self.l1d.restore(r)?;
+        self.load_tracks.restore(r)?;
+        self.next_track.restore(r)?;
+        self.next_token.restore(r)?;
+        self.inflight.restore(r)?;
+        self.buffers.restore(r)?;
+        self.out.restore(r)?;
+        self.barrier_arrived.restore(r)?;
+        self.cta_alive.restore(r)?;
+        self.rr_cursor.restore(r)?;
+        self.stats.restore(r)?;
+        self.block_instrs.restore(r)?;
+        self.warps_retired.restore(r)?;
+        self.rebuild_sched();
+        Ok(())
+    }
 }
 
 #[cfg(test)]

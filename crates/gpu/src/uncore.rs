@@ -103,53 +103,6 @@ impl L2Slice {
             && self.to_sm.is_empty()
     }
 
-    /// Checkpoint the cache (waiters are `(Node, tag)` pairs), all four
-    /// port queues, and the slice counters. Latencies/geometry are
-    /// config-derived and come from fresh construction on restore.
-    pub fn snap(&self, w: &mut ndp_common::snap::SnapWriter) {
-        self.cache.snap(w, |w, (node, tag): &L2Waiter| {
-            node.snap(w);
-            w.u64(*tag);
-        });
-        self.in_q.snap(w);
-        self.from_mem.snap(w);
-        self.to_mem.snap(w);
-        self.to_sm.snap(w);
-        w.u64(self.writes_outstanding);
-        w.len(self.block_events.len());
-        for (b, hit) in &self.block_events {
-            w.u16(*b);
-            w.bool(*hit);
-        }
-        w.u64(self.ondie_bytes);
-    }
-
-    /// Overwrite from a checkpoint stream; `self` must be freshly built
-    /// against the same config.
-    pub fn restore(
-        &mut self,
-        r: &mut ndp_common::snap::SnapReader<'_>,
-    ) -> Result<(), ndp_common::snap::SnapError> {
-        self.cache.restore(r, |r| {
-            let node = ndp_common::ids::Node::restore(r)?;
-            let tag = r.u64()?;
-            Ok((node, tag))
-        })?;
-        self.in_q.restore(r)?;
-        self.from_mem.restore(r)?;
-        self.to_mem.restore(r)?;
-        self.to_sm.restore(r)?;
-        self.writes_outstanding = r.u64()?;
-        self.block_events.clear();
-        for _ in 0..r.len()? {
-            let b = r.u16()?;
-            let hit = r.bool()?;
-            self.block_events.push((b, hit));
-        }
-        self.ondie_bytes = r.u64()?;
-        Ok(())
-    }
-
     pub fn tick(&mut self, now: Cycle) {
         // Memory-side arrivals are lightweight; process all.
         while let Some(p) = self.from_mem.pop_front() {
@@ -296,6 +249,11 @@ impl L2Slice {
         }
     }
 }
+
+ndp_common::snap_state!(L2Slice {
+    cache, in_q, from_mem, to_mem, to_sm, writes_outstanding, block_events, ondie_bytes;
+    derived: id, ondie_lat, l2_lat, line_bytes, throughput, rdf_probes_cache
+});
 
 impl Component for L2Slice {
     fn tick(&mut self, now: Cycle) {

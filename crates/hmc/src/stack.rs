@@ -342,71 +342,6 @@ impl HmcStack {
             || !self.to_memnet.is_empty()
     }
 
-    /// Checkpoint vault controllers, pending vault admissions, the three
-    /// output ports, the clock-crossing accumulator and byte counters.
-    /// `memmap`/geometry are config-derived (fresh construction); any
-    /// `pending_err` has been polled by the system loop before a checkpoint
-    /// boundary, so it is deliberately not serialized.
-    pub fn snap(&self, w: &mut ndp_common::snap::SnapWriter) {
-        w.len(self.vaults.len());
-        for v in &self.vaults {
-            v.snap(w, |w, p: &Packet| p.snap(w));
-        }
-        w.len(self.vault_pending.len());
-        for q in &self.vault_pending {
-            w.len(q.len());
-            for p in q {
-                p.snap(w);
-            }
-        }
-        self.to_gpu.snap(w);
-        self.to_nsu.snap(w);
-        self.to_memnet.snap(w);
-        w.u64(self.acc_units);
-        w.u64(self.dram_now);
-        w.u64(self.intra_bytes);
-    }
-
-    /// Overwrite from a checkpoint stream; `self` must be freshly built
-    /// against the same config (vault count is validated).
-    pub fn restore(
-        &mut self,
-        r: &mut ndp_common::snap::SnapReader<'_>,
-    ) -> Result<(), ndp_common::snap::SnapError> {
-        let nv = r.len()?;
-        if nv != self.vaults.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "stack has {} vaults, checkpoint has {nv}",
-                self.vaults.len()
-            )));
-        }
-        for v in &mut self.vaults {
-            v.restore(r, Packet::restore)?;
-        }
-        let np = r.len()?;
-        if np != self.vault_pending.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "stack has {} vault-pending lanes, checkpoint has {np}",
-                self.vault_pending.len()
-            )));
-        }
-        for q in &mut self.vault_pending {
-            q.clear();
-            for _ in 0..r.len()? {
-                q.push_back(Packet::restore(r)?);
-            }
-        }
-        self.to_gpu.restore(r)?;
-        self.to_nsu.restore(r)?;
-        self.to_memnet.restore(r)?;
-        self.acc_units = r.u64()?;
-        self.dram_now = r.u64()?;
-        self.intra_bytes = r.u64()?;
-        self.pending_err = None;
-        self.rebuild_activity();
-        Ok(())
-    }
-
     /// Requests/packets queued anywhere inside this stack: pending vault
     /// admissions, vault controller queues, and the three output ports
     /// (occupancy sampling).
@@ -418,6 +353,16 @@ impl HmcStack {
             + self.to_memnet.len()
     }
 }
+
+// A `pending_err` has been polled by the system loop before any checkpoint
+// boundary, so a fresh stack's `None` is the restored value.
+ndp_common::snap_state!(HmcStack {
+    vaults [each], vault_pending [each], to_gpu, to_nsu, to_memnet, acc_units, dram_now,
+    intra_bytes;
+    derived: id, memmap, line_bytes, burst_bytes, sm_period_units, tck_units, pending_err,
+        pending_vaults, queued_vaults, done_vaults, done_min;
+    after: rebuild_activity
+});
 
 impl Component for HmcStack {
     fn tick(&mut self, now: Cycle) {

@@ -331,57 +331,6 @@ impl WarpExec {
         step
     }
 
-    /// Checkpoint all dynamic state. `match_end` is static (derived from the
-    /// program in [`WarpExec::new`]) and is not serialized.
-    pub fn snap(&self, w: &mut ndp_common::snap::SnapWriter) {
-        w.usize(self.pc);
-        w.len(self.loops.len());
-        for f in &self.loops {
-            w.usize(f.body_pc);
-            w.u32(f.remaining);
-            w.u32(f.iter);
-        }
-        w.len(self.regs.len());
-        w.u64s(self.regs.as_flattened());
-        w.u32(self.warp_global);
-        w.u32(self.active);
-        w.u64(self.seed);
-        w.bool(self.done);
-        w.u64(self.executed);
-    }
-
-    /// Overwrite dynamic state from a checkpoint stream. `self` must have
-    /// been built with [`WarpExec::new`] against the same program (that
-    /// supplies `match_end`).
-    pub fn restore(
-        &mut self,
-        r: &mut ndp_common::snap::SnapReader<'_>,
-    ) -> Result<(), ndp_common::snap::SnapError> {
-        self.pc = r.usize()?;
-        self.loops.clear();
-        for _ in 0..r.len()? {
-            self.loops.push(LoopFrame {
-                body_pc: r.usize()?,
-                remaining: r.u32()?,
-                iter: r.u32()?,
-            });
-        }
-        let nregs = r.len()?;
-        if nregs != self.regs.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "warp has {} registers, checkpoint has {nregs}",
-                self.regs.len()
-            )));
-        }
-        r.u64s(self.regs.as_flattened_mut())?;
-        self.warp_global = r.u32()?;
-        self.active = r.u32()?;
-        self.seed = r.u64()?;
-        self.done = r.bool()?;
-        self.executed = r.u64()?;
-        Ok(())
-    }
-
     fn execute(&mut self, instr: Instr) {
         match instr {
             Instr::Alu { op, dst, a, b, c } => {
@@ -411,6 +360,17 @@ impl WarpExec {
         }
     }
 }
+
+ndp_common::snap_value!(LoopFrame {
+    body_pc,
+    remaining,
+    iter
+});
+
+ndp_common::snap_state!(WarpExec {
+    pc, loops, regs [words], warp_global, active, seed, done, executed;
+    derived: match_end
+});
 
 #[inline]
 fn f32v(x: u64) -> f32 {
@@ -740,6 +700,7 @@ mod tests {
         assert_eq!(w.num_regs(), 4, "registers r0..=r3");
         assert_eq!(WarpExec::new(&big, 0, ALL, 42).num_regs(), 10);
 
+        use ndp_common::snap::SnapState;
         let mut snap = ndp_common::snap::SnapWriter::new();
         w.snap(&mut snap);
         let bytes = snap.into_bytes();
@@ -754,7 +715,7 @@ mod tests {
             .restore(&mut ndp_common::snap::SnapReader::new(&bytes))
             .unwrap_err();
         assert!(
-            e.0.contains("warp has 10 registers, checkpoint has 4"),
+            e.0.contains("WarpExec.regs") && e.0.contains("built with 10, checkpoint has 4"),
             "{e}"
         );
     }

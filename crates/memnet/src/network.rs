@@ -154,61 +154,9 @@ impl MemNetwork {
     pub fn has_delivered(&self) -> bool {
         self.delivered.iter().any(|q| !q.is_empty())
     }
-
-    /// Checkpoint every directed link and delivery queue. The topology is
-    /// config-derived (hypercube over the node count) and rebuilt fresh.
-    pub fn snap(&self, w: &mut ndp_common::snap::SnapWriter) {
-        w.len(self.links.len());
-        for node in &self.links {
-            w.len(node.len());
-            for l in node {
-                l.snap(w);
-            }
-        }
-        w.len(self.delivered.len());
-        for q in &self.delivered {
-            q.snap(w);
-        }
-    }
-
-    /// Overwrite from a checkpoint stream; `self` must be freshly built with
-    /// the same node count (link matrix shape is validated).
-    pub fn restore(
-        &mut self,
-        r: &mut ndp_common::snap::SnapReader<'_>,
-    ) -> Result<(), ndp_common::snap::SnapError> {
-        let nn = r.len()?;
-        if nn != self.links.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "memnet has {} nodes, checkpoint has {nn}",
-                self.links.len()
-            )));
-        }
-        for node in &mut self.links {
-            let nd = r.len()?;
-            if nd != node.len() {
-                return Err(ndp_common::snap::SnapError(format!(
-                    "memnet node has {} link dims, checkpoint has {nd}",
-                    node.len()
-                )));
-            }
-            for l in node {
-                l.restore(r)?;
-            }
-        }
-        let nq = r.len()?;
-        if nq != self.delivered.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "memnet has {} delivery queues, checkpoint has {nq}",
-                self.delivered.len()
-            )));
-        }
-        for q in &mut self.delivered {
-            q.restore(r)?;
-        }
-        Ok(())
-    }
 }
+
+ndp_common::snap_state!(MemNetwork { links [grid], delivered [each]; derived: topo });
 
 impl Component for MemNetwork {
     fn tick(&mut self, now: Cycle) {

@@ -465,164 +465,6 @@ impl Nsu {
         self.occupied_sum += self.occupied_slots() as u64 * k;
     }
 
-    /// Checkpoint warp slots, command queue, merge buffers (sorted by key
-    /// for byte-stable output), the outgoing port, pending credit events,
-    /// the NSU clock, round-robin cursor, and statistics. `blocks`,
-    /// `pc_to_block`, `memmap` and capacities are config/kernel-derived and
-    /// come from fresh construction on restore.
-    pub fn snap(&self, w: &mut ndp_common::snap::SnapWriter) {
-        w.len(self.slots.len());
-        for s in &self.slots {
-            w.bool(s.is_some());
-            if let Some(nw) = s {
-                w.u64(nw.token.0);
-                w.u16(nw.id.sm);
-                w.u16(nw.id.warp);
-                w.u16(nw.id.seq);
-                w.u16(nw.block);
-                w.u16(nw.sm);
-                w.u8(nw.active);
-                w.u32(nw.mask);
-                w.usize(nw.pc);
-                w.u64(nw.next_free);
-                w.u16(nw.seq);
-                w.u32(nw.writes_outstanding);
-            }
-        }
-        w.len(self.cmd_q.len());
-        for c in &self.cmd_q {
-            w.u64(c.token.0);
-            w.u16(c.id.sm);
-            w.u16(c.id.warp);
-            w.u16(c.id.seq);
-            w.u16(c.block);
-            w.u16(c.sm);
-            w.u8(c.active);
-            w.u32(c.mask);
-        }
-        let mut reads: Vec<(&(OffloadToken, u16), &ReadEntry)> = self.read_buf.iter().collect();
-        reads.sort_unstable_by_key(|(k, _)| **k);
-        w.len(reads.len());
-        for ((tok, seq), e) in reads {
-            w.u64(tok.0);
-            w.u16(*seq);
-            w.u32(e.arrived_mask);
-        }
-        let mut writes: Vec<_> = self.write_buf.iter().collect();
-        writes.sort_unstable_by_key(|(k, _)| **k);
-        w.len(writes.len());
-        for ((tok, seq), (expected, accesses)) in writes {
-            w.u64(tok.0);
-            w.u16(*seq);
-            w.u8(*expected);
-            w.len(accesses.len());
-            for a in accesses {
-                a.snap(w);
-            }
-        }
-        self.out.snap(w);
-        w.u32(self.credits.cmd);
-        w.u32(self.credits.read);
-        w.u32(self.credits.write);
-        w.u64(self.nsu_now);
-        w.usize(self.rr_cursor);
-        let mut touched: Vec<u16> = self.icache_touched.iter().copied().collect();
-        touched.sort_unstable();
-        w.len(touched.len());
-        for b in touched {
-            w.u16(b);
-        }
-        w.u64(self.occupied_sum);
-        w.u64(self.ticks);
-        w.u64(self.instrs);
-        w.u64(self.blocks_done);
-    }
-
-    /// Overwrite from a checkpoint stream; `self` must be freshly built
-    /// against the same config and kernel (slot count is validated).
-    pub fn restore(
-        &mut self,
-        r: &mut ndp_common::snap::SnapReader<'_>,
-    ) -> Result<(), ndp_common::snap::SnapError> {
-        let ns = r.len()?;
-        if ns != self.slots.len() {
-            return Err(ndp_common::snap::SnapError(format!(
-                "nsu has {} warp slots, checkpoint has {ns}",
-                self.slots.len()
-            )));
-        }
-        for s in &mut self.slots {
-            *s = if r.bool()? {
-                Some(NsuWarp {
-                    token: OffloadToken(r.u64()?),
-                    id: OffloadId {
-                        sm: r.u16()?,
-                        warp: r.u16()?,
-                        seq: r.u16()?,
-                    },
-                    block: r.u16()?,
-                    sm: r.u16()?,
-                    active: r.u8()?,
-                    mask: r.u32()?,
-                    pc: r.usize()?,
-                    next_free: r.u64()?,
-                    seq: r.u16()?,
-                    writes_outstanding: r.u32()?,
-                })
-            } else {
-                None
-            };
-        }
-        self.cmd_q.clear();
-        for _ in 0..r.len()? {
-            self.cmd_q.push_back(CmdInfo {
-                token: OffloadToken(r.u64()?),
-                id: OffloadId {
-                    sm: r.u16()?,
-                    warp: r.u16()?,
-                    seq: r.u16()?,
-                },
-                block: r.u16()?,
-                sm: r.u16()?,
-                active: r.u8()?,
-                mask: r.u32()?,
-            });
-        }
-        self.read_buf.clear();
-        for _ in 0..r.len()? {
-            let tok = OffloadToken(r.u64()?);
-            let seq = r.u16()?;
-            let arrived_mask = r.u32()?;
-            self.read_buf.insert((tok, seq), ReadEntry { arrived_mask });
-        }
-        self.write_buf.clear();
-        for _ in 0..r.len()? {
-            let tok = OffloadToken(r.u64()?);
-            let seq = r.u16()?;
-            let expected = r.u8()?;
-            let mut accesses = Vec::new();
-            for _ in 0..r.len()? {
-                accesses.push(LineAccess::restore(r)?);
-            }
-            self.write_buf.insert((tok, seq), (expected, accesses));
-        }
-        self.out.restore(r)?;
-        self.credits.cmd = r.u32()?;
-        self.credits.read = r.u32()?;
-        self.credits.write = r.u32()?;
-        self.nsu_now = r.u64()?;
-        self.rr_cursor = r.usize()?;
-        self.icache_touched.clear();
-        for _ in 0..r.len()? {
-            self.icache_touched.insert(r.u16()?);
-        }
-        self.occupied_sum = r.u64()?;
-        self.ticks = r.u64()?;
-        self.instrs = r.u64()?;
-        self.blocks_done = r.u64()?;
-        Ok(())
-    }
-
     /// Tokens resident in warp slots, with execution state (stall reports).
     pub fn resident_tokens(&self) -> Vec<TokenInFlight> {
         self.slots
@@ -638,6 +480,35 @@ impl Nsu {
             .collect()
     }
 }
+
+ndp_common::snap_value!(CmdInfo {
+    token,
+    id,
+    block,
+    sm,
+    active,
+    mask,
+});
+ndp_common::snap_value!(ReadEntry { arrived_mask });
+ndp_common::snap_value!(NsuWarp {
+    token,
+    id,
+    block,
+    sm,
+    active,
+    mask,
+    pc,
+    next_free,
+    seq,
+    writes_outstanding,
+});
+
+ndp_common::snap_state!(Nsu {
+    slots [each], cmd_q, read_buf, write_buf, out, credits, nsu_now, rr_cursor, icache_touched,
+    occupied_sum, ticks, instrs, blocks_done;
+    derived: id, blocks, pc_to_block, cmd_capacity, read_capacity, write_capacity, memmap,
+        sfu_lat
+});
 
 impl Component for Nsu {
     fn tick(&mut self, now: Cycle) {

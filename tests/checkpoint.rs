@@ -216,6 +216,42 @@ fn snapshots_are_deterministic_and_non_perturbing() {
     );
 }
 
+/// Restoring an image and snapshotting the restored machine gives back the
+/// same bytes, for every workload under Baseline, NaiveNDP and
+/// NDP(Dyn)_Cache with observability on. This catches a field that is
+/// written but restored wrongly even when it never reaches the
+/// `RunResult` the resume tests compare.
+#[test]
+fn restore_then_snapshot_reproduces_the_image() {
+    for mut cfg in [
+        SystemConfig::baseline(),
+        SystemConfig::naive_ndp(),
+        SystemConfig::ndp_dynamic_cache(),
+    ] {
+        cfg.gpu.num_sms = 8;
+        for &w in WORKLOADS.iter() {
+            let observed = || {
+                let mut sys = fresh(&cfg, w, Mode::Event, None);
+                sys.enable_obs(ObsConfig::on());
+                sys
+            };
+            let cycles = observed().run(MAX).expect("clean run").cycles;
+            let mut sys = observed();
+            sys.run_until(cycles / 2).expect("clean prefix");
+            let image = sys.snapshot();
+            let again = System::try_restore(cfg.clone(), kernel_for(w), &image)
+                .expect("pristine image accepted")
+                .snapshot();
+            assert!(
+                image == again,
+                "{}/{:?}: restore then snapshot changed the image",
+                w.name(),
+                cfg.offload
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Rejection: every corruption is a typed error, never a panic.
 // ---------------------------------------------------------------------------
