@@ -15,11 +15,14 @@
 //! cargo run --release -p ndp-bench --bin bench_baseline -- --check BENCH_core.json
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use ndp_common::obs::perf::{PerfConfig, StagePerf};
 use ndp_common::SystemConfig;
+use ndp_compiler::{compile, CompiledKernel, CompilerConfig};
 use ndp_core::system::System;
+use ndp_core::RunOptions;
 use ndp_workloads::{Scale, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -87,19 +90,32 @@ pub fn fig7_scale() -> BenchSpec {
 /// Safety cap for baseline runs; mirrors the golden test's.
 const MAX_CYCLES: u64 = 30_000_000;
 
+fn kernel(spec: &BenchSpec, w: Workload) -> Arc<CompiledKernel> {
+    Arc::new(compile(&w.build(&spec.scale), &CompilerConfig::default()))
+}
+
+/// A machine for one of `spec`'s workloads, run as the environment says
+/// but with profiling set by `perf`, whatever `NDP_PERF` is.
+fn system(spec: &BenchSpec, w: Workload, perf: PerfConfig) -> System {
+    let opts = RunOptions {
+        perf,
+        ..RunOptions::from_env().unwrap_or_else(|e| panic!("{e}"))
+    };
+    System::build(spec.config(), kernel(spec, w), &opts).expect("builtin workload builds")
+}
+
 /// Run every workload of a spec once, uninstrumented, and return the total
 /// simulated cycles. This is the timed body shared by [`measure`] and the
 /// criterion `core` bench — keep it free of I/O and allocation beyond what
 /// the simulation itself does.
 pub fn run_once(spec: &BenchSpec) -> u64 {
     let mut cycles = 0u64;
-    for w in spec.workloads {
-        let program = w.build(&spec.scale);
-        let mut sys = System::new(spec.config(), &program);
-        // Force profiling off regardless of NDP_PERF: the throughput
-        // number must measure the uninstrumented hot loop.
-        sys.enable_perf(PerfConfig::default());
-        let r = sys.run(MAX_CYCLES).expect("no protocol violation");
+    for &w in spec.workloads {
+        // Profiling off: the throughput number must measure the
+        // uninstrumented hot loop.
+        let r = system(spec, w, PerfConfig::default())
+            .run(MAX_CYCLES)
+            .expect("no protocol violation");
         assert!(!r.timed_out, "{}/{} timed out", spec.name, w.name());
         cycles += r.cycles;
     }
@@ -232,11 +248,10 @@ pub fn measure(spec: &BenchSpec) -> BenchEntry {
     }
 
     let mut stage_reports = Vec::new();
-    for w in spec.workloads {
-        let program = w.build(&spec.scale);
-        let mut sys = System::new(spec.config(), &program);
-        sys.enable_perf(PerfConfig::on());
-        let r = sys.run(MAX_CYCLES).expect("no protocol violation");
+    for &w in spec.workloads {
+        let r = system(spec, w, PerfConfig::on())
+            .run(MAX_CYCLES)
+            .expect("no protocol violation");
         stage_reports.push(r.perf.expect("profiling was enabled").stages);
     }
 
@@ -246,12 +261,8 @@ pub fn measure(spec: &BenchSpec) -> BenchEntry {
     // scales with machine shape, not with how long the run has gone.
     let (ckpt_bytes, ckpt_save_ns, ckpt_restore_ns) = {
         let w = spec.workloads[0];
-        let program = w.build(&spec.scale);
-        let kernel = std::sync::Arc::new(ndp_compiler::compile(
-            &program,
-            &ndp_compiler::CompilerConfig::default(),
-        ));
-        let mut sys = System::new(spec.config(), &program);
+        let kernel = kernel(spec, w);
+        let mut sys = system(spec, w, PerfConfig::default());
         sys.run_until(4_096).expect("no protocol violation");
         let t0 = Instant::now();
         let image = sys.snapshot();

@@ -11,15 +11,17 @@
 //!                                    on a regression
 //! ```
 //!
-//! The regression tolerance is `NDP_PERF_TOL` (fraction, default 0.15):
-//! a check fails when current cycles/sec drops below `1 - tol` of the
-//! baseline, or when the deterministic simulated-cycle counts disagree
+//! A check fails when current cycles/sec drops below `1 - TOLERANCE` of
+//! the baseline, or when the deterministic simulated-cycle counts disagree
 //! (the latter means the model changed and the baseline is stale — re-run
 //! without `--check` and commit the new document).
 
 use ndp_bench::baseline::{
     check, fig7_scale, fig7_small, git_rev, measure, BenchBaseline, BENCH_SCHEMA_VERSION,
 };
+
+/// Allowed throughput regression, as a fraction of the baseline.
+const TOLERANCE: f64 = 0.15;
 
 fn usage() -> ! {
     eprintln!("usage: bench_baseline [--out PATH] | bench_baseline --check [PATH]");
@@ -113,11 +115,10 @@ fn main() {
                 );
                 std::process::exit(2);
             }
-            let tol: f64 = ndp_common::env::parse_or_die("NDP_PERF_TOL").unwrap_or(0.15);
             // The check re-measures only the small scenario: it is the CI
             // smoke gate, and fig7_scale exists for local deep runs.
             let cur = measure_doc(&[fig7_small()]);
-            let outcome = check(&base, &cur, tol);
+            let outcome = check(&base, &cur, TOLERANCE);
             let json = serde_json::to_string_pretty(&outcome).expect("serialize check outcome");
             std::fs::write("BENCH_check.json", json + "\n").expect("write check outcome");
             if outcome.bootstrap {
@@ -140,7 +141,7 @@ fn main() {
             }
             println!(
                 "tolerance {:.0}%  baseline rev {}  current rev {}  -> {}",
-                tol * 100.0,
+                TOLERANCE * 100.0,
                 outcome.baseline_git_rev,
                 outcome.current_git_rev,
                 if outcome.ok { "PASS" } else { "FAIL" }

@@ -11,19 +11,22 @@
 //! Exit status: `0` when the wedge was detected and correctly diagnosed,
 //! `1` otherwise — so CI can gate on it.
 //!
-//! Usage: `fault_smoke` (no arguments; `NDP_WATCHDOG` overrides the
-//! default 4096-cycle threshold).
+//! Usage: `fault_smoke` (no arguments).
+
+use std::sync::Arc;
 
 use ndp_common::config::SystemConfig;
 use ndp_common::fault::FaultConfig;
+use ndp_compiler::{compile, CompilerConfig};
 use ndp_core::system::System;
+use ndp_core::RunOptions;
 use ndp_workloads::{Scale, Workload};
 
-fn main() {
-    let threshold: u64 = ndp_common::env::parse_or_die("NDP_WATCHDOG")
-        .filter(|&t| t > 0)
-        .unwrap_or(4_096);
+/// Watchdog threshold in cycles: far below the time the wedge leaves
+/// before the cycle cap, far above any healthy quiet spell.
+const THRESHOLD: u64 = 4_096;
 
+fn main() {
     let mut cfg = SystemConfig::naive_ndp();
     cfg.gpu.num_sms = 8;
     cfg.nsu.cmd_entries = 2;
@@ -32,15 +35,19 @@ fn main() {
         iters: 4,
     });
 
-    let mut sys = System::new(cfg, &program);
-    sys.set_watchdog(Some(threshold));
-    sys.inject_faults(FaultConfig {
-        withhold_credits: true,
-        ..Default::default()
-    });
+    let opts = RunOptions {
+        watchdog: Some(THRESHOLD),
+        faults: Some(FaultConfig {
+            withhold_credits: true,
+            ..Default::default()
+        }),
+        ..RunOptions::from_env().unwrap_or_else(|e| panic!("{e}"))
+    };
+    let kernel = Arc::new(compile(&program, &CompilerConfig::default()));
+    let sys = System::build(cfg, kernel, &opts).expect("builtin workload builds");
 
     println!(
-        "fault_smoke: withholding all NSU credit returns, watchdog threshold {threshold} cycles"
+        "fault_smoke: withholding all NSU credit returns, watchdog threshold {THRESHOLD} cycles"
     );
     let r = match sys.run(200_000) {
         Ok(r) => r,

@@ -106,13 +106,10 @@ fn main() {
         }
     }
 
-    // Environment hygiene: unknown NDP_* names are almost always typos of a
-    // real knob, and a typoed knob silently does nothing.
-    for (var, suggestion) in ndp_common::env::unknown_ndp_vars() {
-        match suggestion {
-            Some(s) => emit(format!("env: unknown variable {var} (did you mean {s}?)")),
-            None => emit(format!("env: unknown variable {var}")),
-        }
+    // Environment hygiene: the run options every simulation would read
+    // (an unknown NDP_* name is almost always a typo of a real knob).
+    if let Err(e) = ndp_core::RunOptions::from_env() {
+        emit(format!("env: {e}"));
     }
 
     if findings == 0 {

@@ -15,9 +15,13 @@
 //!   - `obs_metrics.json` — flat metrics document for scripts,
 //!   - `perf_trace.json` — the self-profile as a Perfetto lane.
 
-use ndp_common::obs::{ObsConfig, PerfConfig};
+use std::sync::Arc;
+
+use ndp_common::obs::PerfConfig;
+use ndp_compiler::{compile, CompilerConfig};
 use ndp_core::experiments::fig9_configs;
 use ndp_core::system::System;
+use ndp_core::RunOptions;
 use ndp_workloads::{workload, Workload};
 
 fn main() {
@@ -39,19 +43,19 @@ fn main() {
             eprintln!("error: unknown config {cfg_name:?}; one of {names:?}");
             std::process::exit(2);
         });
-    cfg.hill_climb.epoch_cycles = ndp_common::env::parse_or_die("NDP_EPOCH").unwrap_or(30_000);
+    cfg.hill_climb.epoch_cycles = ndp_bench::harness_epoch();
 
-    let scale = ndp_bench::harness_scale();
-    let program = w.build(&scale);
-    let mut sys = System::new(cfg, &program);
-    sys.enable_obs(ObsConfig::on());
-    // Profile unconditionally: this binary exists to report, and the
-    // strided timer keeps the cost negligible. `NDP_PERF_*` still tunes
-    // stride/heartbeat cadence via the config constructor.
-    let mut perf_cfg = PerfConfig::from_env();
-    perf_cfg.enabled = true;
-    sys.enable_perf(perf_cfg);
-    let r = sys
+    let program = w.build(&ndp_bench::harness_scale());
+    let kernel = Arc::new(compile(&program, &CompilerConfig::default()));
+    // Observe and profile unconditionally: this binary exists to report,
+    // and the strided timer keeps the profiling cost negligible.
+    let opts = RunOptions {
+        obs: true,
+        perf: PerfConfig::on(),
+        ..RunOptions::from_env().unwrap_or_else(|e| panic!("{e}"))
+    };
+    let r = System::build(cfg, kernel, &opts)
+        .expect("builtin workload builds")
         .run(ndp_core::experiments::DEFAULT_MAX_CYCLES)
         .expect("no protocol violation");
 
@@ -84,8 +88,7 @@ fn main() {
              the report covers a truncated run",
             r.cycles
         );
-        let strict = ndp_common::env::flag_or_die("NDP_STRICT_TIMEOUT").unwrap_or(false);
-        if strict {
+        if ndp_bench::strict_timeouts() {
             std::process::exit(2);
         }
     }

@@ -10,25 +10,65 @@
 
 pub mod baseline;
 
+use ndp_common::env::{self, EnvError};
 use ndp_core::experiments::{run_matrix, Matrix, DEFAULT_MAX_CYCLES};
 use ndp_core::result::RunResult;
 use ndp_workloads::{Scale, Workload};
 
-/// Default evaluation scale for the harness binaries. Override with
-/// `NDP_WARPS` / `NDP_ITERS` environment variables.
+/// Where the harness reads its own variables from: the process
+/// environment, or a fixed table in tests. (A run's own options are read by
+/// `ndp_core::RunOptions::from_env`.)
+type Lookup = fn(&str) -> Option<String>;
+
+fn process_env(var: &str) -> Option<String> {
+    std::env::var(var).ok()
+}
+
+/// A harness variable's value, or `default` when unset. A malformed one
+/// stops the binary: a misconfigured run must not proceed with defaults.
+fn or_die<T>(parsed: Result<Option<T>, EnvError>, default: T) -> T {
+    parsed.unwrap_or_else(|e| panic!("{e}")).unwrap_or(default)
+}
+
+/// Default evaluation scale for the harness binaries: `Scale::eval()`,
+/// overridden by `NDP_WARPS` / `NDP_ITERS`.
 pub fn harness_scale() -> Scale {
-    use ndp_common::env::parse_or_die;
+    scale_from(process_env)
+}
+
+/// The Algorithm 1 epoch length of harness runs: `NDP_EPOCH` cycles,
+/// 30,000 by default, so that scaled-down runs still span enough epochs
+/// for the hill climber to converge.
+pub fn harness_epoch() -> u64 {
+    epoch_from(process_env)
+}
+
+/// `NDP_STRICT_TIMEOUT=1`: a run that hits the safety cycle cap makes the
+/// binary exit nonzero.
+pub fn strict_timeouts() -> bool {
+    strict_from(process_env)
+}
+
+fn epoch_from(get: Lookup) -> u64 {
+    or_die(env::parse(get, "NDP_EPOCH"), 30_000)
+}
+
+fn strict_from(get: Lookup) -> bool {
+    or_die(env::flag(get, "NDP_STRICT_TIMEOUT"), false)
+}
+
+fn scale_from(get: Lookup) -> Scale {
+    let eval = Scale::eval();
     Scale {
-        warps: parse_or_die("NDP_WARPS").unwrap_or(Scale::eval().warps),
-        iters: parse_or_die("NDP_ITERS").unwrap_or(Scale::eval().iters),
+        warps: or_die(env::parse(get, "NDP_WARPS"), eval.warps),
+        iters: or_die(env::parse(get, "NDP_ITERS"), eval.iters),
     }
 }
 
-/// Run a config × workload matrix at the harness scale. The Algorithm 1
-/// epoch length follows `NDP_EPOCH` (cycles) so that scaled-down runs still
-/// span enough epochs for the hill climber to converge.
+/// Run a config × workload matrix at the harness scale and epoch length
+/// ([`harness_scale`], [`harness_epoch`]).
 pub fn run(configs: &[(&str, ndp_common::SystemConfig)], workloads: &[Workload]) -> Matrix {
-    let epoch: u64 = ndp_common::env::parse_or_die("NDP_EPOCH").unwrap_or(30_000);
+    let epoch = harness_epoch();
     let configs: Vec<(&str, ndp_common::SystemConfig)> = configs
         .iter()
         .map(|(n, c)| {
@@ -100,9 +140,7 @@ pub fn warn_timeouts(m: &Matrix) -> usize {
 /// Warn about timeouts and, when `NDP_STRICT_TIMEOUT=1` is set, exit
 /// nonzero so CI and scripts cannot silently consume truncated results.
 pub fn enforce_timeouts(m: &Matrix) {
-    let n = warn_timeouts(m);
-    let strict = ndp_common::env::flag_or_die("NDP_STRICT_TIMEOUT").unwrap_or(false);
-    if n > 0 && strict {
+    if warn_timeouts(m) > 0 && strict_timeouts() {
         std::process::exit(2);
     }
 }
@@ -150,5 +188,35 @@ pub fn dump_json(path: &str, m: &Matrix) {
     if let Err(e) = std::fs::write(path, s) {
         eprintln!("error: could not write {path}: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn harness_variables_set_scale_epoch_and_strictness() {
+        let unset: Lookup = |_| None;
+        assert_eq!(scale_from(unset).warps, Scale::eval().warps);
+        assert_eq!((epoch_from(unset), strict_from(unset)), (30_000, false));
+        let set: Lookup = |k| {
+            let v = [
+                ("NDP_WARPS", "96"),
+                ("NDP_ITERS", "2"),
+                ("NDP_EPOCH", "5000"),
+            ];
+            v.iter().find(|v| v.0 == k).map(|v| v.1.to_string())
+        };
+        let s = scale_from(set);
+        assert_eq!((s.warps, s.iters), (96, 2));
+        assert_eq!(epoch_from(set), 5_000);
+        assert!(strict_from(|_| Some("1".into())));
+    }
+
+    #[test]
+    #[should_panic(expected = "NDP_WARPS")]
+    fn malformed_harness_variable_is_fatal() {
+        scale_from(|_| Some("96k".into()));
     }
 }

@@ -1,197 +1,126 @@
-//! Centralized `NDP_*` environment-variable parsing.
+//! The `NDP_*` environment-variable registry and its typed parsers.
 //!
-//! Every knob the simulator reads from the environment is declared in
-//! [`KNOWN`] and parsed through the typed helpers here. Malformed values
-//! produce a loud [`EnvError`] naming the variable and the offending text
-//! instead of the silent `.ok()` fallbacks that used to be scattered across
-//! `invariant.rs`, `fault.rs`, `system.rs` and the bench binaries.
-//! `ndp-lint` additionally scans the process environment for unknown
-//! `NDP_`-prefixed names and reports them as likely typos.
+//! Every variable the simulator and its harness understand is declared in
+//! [`KNOWN`]. The parsers here are pure: each takes a lookup function and
+//! never reads the process environment itself. The simulator reads its
+//! environment in one place, `ndp_core::RunOptions::from_env`, which also
+//! rejects any `NDP_`-prefixed name missing from [`KNOWN`] (see
+//! [`check_names`]); the bench harness reads its own scale and strictness
+//! variables through the same parsers.
 
 use std::fmt;
+use std::path::PathBuf;
 use std::str::FromStr;
 
-/// A malformed environment variable: the name, the raw value, and what the
-/// parser expected.
+/// A rejected environment variable: its name and what is wrong with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvError {
-    pub var: &'static str,
-    pub value: String,
-    pub expected: &'static str,
+    pub var: String,
+    pub problem: String,
 }
 
 impl fmt::Display for EnvError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid {}={:?}: expected {}",
-            self.var, self.value, self.expected
-        )
+        write!(f, "{}: {}", self.var, self.problem)
     }
 }
 
 impl std::error::Error for EnvError {}
 
+fn malformed(var: &str, raw: &str, expected: &str) -> EnvError {
+    EnvError {
+        var: var.to_string(),
+        problem: format!("{raw:?} is not {expected}"),
+    }
+}
+
 /// Parse `var` as a `T`. `Ok(None)` when unset; `Err` when set but
 /// unparseable (never a silent fallback).
-pub fn parse<T: FromStr>(var: &'static str) -> Result<Option<T>, EnvError> {
-    match std::env::var(var) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.trim().parse::<T>() {
+pub fn parse<T: FromStr>(
+    get: impl Fn(&str) -> Option<String>,
+    var: &str,
+) -> Result<Option<T>, EnvError> {
+    match get(var) {
+        None => Ok(None),
+        Some(raw) => match raw.trim().parse::<T>() {
             Ok(v) => Ok(Some(v)),
-            Err(_) => Err(EnvError {
-                var,
-                value: raw,
-                expected: "a number",
-            }),
+            Err(_) => Err(malformed(var, &raw, "a number")),
         },
     }
 }
 
 /// Parse `var` as a boolean flag. Accepts `0`/`1`/`true`/`false`
 /// (case-insensitive). `Ok(None)` when unset.
-pub fn flag(var: &'static str) -> Result<Option<bool>, EnvError> {
-    match std::env::var(var) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
+pub fn flag(get: impl Fn(&str) -> Option<String>, var: &str) -> Result<Option<bool>, EnvError> {
+    match get(var) {
+        None => Ok(None),
+        Some(raw) => match raw.trim().to_ascii_lowercase().as_str() {
             "1" | "true" => Ok(Some(true)),
             "0" | "false" => Ok(Some(false)),
-            _ => Err(EnvError {
-                var,
-                value: raw,
-                expected: "0, 1, true or false",
-            }),
+            _ => Err(malformed(var, &raw, "0, 1, true or false")),
         },
     }
 }
 
-/// [`parse`] for construction paths that have no `Result` channel: a
-/// malformed value panics with the typed message (a misconfigured run must
-/// not silently proceed with defaults).
-pub fn parse_or_die<T: FromStr>(var: &'static str) -> Option<T> {
-    match parse(var) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`flag`] with the same panic-on-malformed policy as [`parse_or_die`].
-pub fn flag_or_die(var: &'static str) -> Option<bool> {
-    match flag(var) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Read `var` as a free-form string (file-system paths and the like —
-/// anything non-empty is valid, so there is no error channel). `None`
-/// when unset or blank.
-pub fn string(var: &'static str) -> Option<String> {
-    std::env::var(var)
-        .ok()
+/// Read `var` as a file-system path (anything non-empty is valid, so there
+/// is no error channel). `None` when unset or blank.
+pub fn path(get: impl Fn(&str) -> Option<String>, var: &str) -> Option<PathBuf> {
+    get(var)
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
+        .map(PathBuf::from)
 }
 
-/// Every environment variable the simulator understands, with a one-line
-/// description. `ndp-lint` treats any other `NDP_`-prefixed name as a
-/// likely typo.
-pub const KNOWN: &[(&str, &str)] = &[
-    (
-        "NDP_WATCHDOG",
-        "forward-progress watchdog threshold in cycles (0 disables)",
-    ),
-    (
-        "NDP_DEEP_INVARIANTS",
-        "force deep per-token invariant checking on (1) or off (0)",
-    ),
-    ("NDP_FAULT_SEED", "fault-injector RNG seed (u64)"),
-    ("NDP_FAULT_DROP", "per-packet drop probability (f64)"),
-    ("NDP_FAULT_DUP", "per-packet duplication probability (f64)"),
-    ("NDP_FAULT_DELAY_P", "per-packet delay probability (f64)"),
-    (
-        "NDP_FAULT_DELAY_CYCLES",
-        "cycles a delayed packet is held (u64)",
-    ),
-    (
-        "NDP_FAULT_WITHHOLD_CREDITS",
-        "swallow NSU credit returns (wedge test)",
-    ),
-    ("NDP_WARPS", "bench harness warp-count override (u32)"),
-    ("NDP_ITERS", "bench harness iteration-count override (u32)"),
-    (
-        "NDP_EPOCH",
-        "offload-controller epoch override in cycles (u64)",
-    ),
-    (
-        "NDP_STRICT_TIMEOUT",
-        "bench harness: treat timeouts as fatal (flag)",
-    ),
-    (
-        "NDP_BLESS",
-        "golden-determinism test: rewrite the golden files (flag)",
-    ),
-    (
-        "NDP_PERF",
-        "enable the simulator's perf self-profiling layer (flag)",
-    ),
-    (
-        "NDP_PERF_STRIDE",
-        "pipeline passes between wall-clock-sampled passes (u64, default 64)",
-    ),
-    (
-        "NDP_PERF_HEARTBEAT",
-        "cycles between perf heartbeat snapshots (u64; 0 disables)",
-    ),
-    (
-        "NDP_PERF_STDERR",
-        "print each perf heartbeat to stderr as it is taken (flag)",
-    ),
-    (
-        "NDP_PERF_TOL",
-        "bench_baseline --check: allowed throughput regression fraction (f64, default 0.15)",
-    ),
-    (
-        "NDP_NO_SKIP",
-        "disable quiescence-aware stage skipping and next-event jumps (flag)",
-    ),
-    (
-        "NDP_CHECKPOINT_EVERY",
-        "cycles between periodic checkpoints (u64; 0 disables; requires NDP_CHECKPOINT_PATH)",
-    ),
-    (
-        "NDP_CHECKPOINT_PATH",
-        "checkpoint target: a file, or a directory for per-workload files",
-    ),
-    (
-        "NDP_RESUME",
-        "resume from a checkpoint file (or per-workload directory) instead of starting fresh",
-    ),
-    (
-        "NDP_STALL_DUMP",
-        "directory to dump a post-mortem checkpoint into when the watchdog fires",
-    ),
+/// Every environment variable the simulator and its harness understand
+/// (README.md describes each). Any other `NDP_`-prefixed name is refused.
+pub const KNOWN: [&str; 12] = [
+    // Run options, read by `ndp_core::RunOptions::from_env`.
+    "NDP_NO_SKIP",
+    "NDP_DEEP_INVARIANTS",
+    "NDP_PERF",
+    "NDP_CHECKPOINT_EVERY",
+    "NDP_CHECKPOINT_PATH",
+    "NDP_RESUME",
+    "NDP_STALL_DUMP",
+    // The bench harness's scale, epoch and strictness (`ndp_bench`).
+    "NDP_WARPS",
+    "NDP_ITERS",
+    "NDP_EPOCH",
+    "NDP_STRICT_TIMEOUT",
+    // Re-blesses `tests/golden_determinism.rs`.
+    "NDP_BLESS",
 ];
 
-/// `NDP_`-prefixed variables set in the process environment that are not in
-/// [`KNOWN`], each paired with the closest known name (edit distance ≤ 3)
-/// as a "did you mean" suggestion.
-pub fn unknown_ndp_vars() -> Vec<(String, Option<&'static str>)> {
-    let mut out: Vec<(String, Option<&'static str>)> = std::env::vars()
-        .filter(|(name, _)| name.starts_with("NDP_"))
-        .filter(|(name, _)| KNOWN.iter().all(|(k, _)| k != name))
-        .map(|(name, _)| {
-            let suggestion = KNOWN
-                .iter()
-                .map(|(k, _)| (*k, edit_distance(&name, k)))
-                .filter(|(_, d)| *d <= 3)
-                .min_by_key(|(_, d)| *d)
-                .map(|(k, _)| k);
-            (name, suggestion)
-        })
+/// Refuse every `NDP_`-prefixed name that is not in [`KNOWN`], each with
+/// the closest known name (edit distance ≤ 3) as a suggestion. A misspelled
+/// or retired variable would otherwise do nothing, silently. The one error
+/// names the first unknown variable (in sorted order) as `var`; its
+/// `problem` continues with `; NAME: problem` for each of the others.
+pub fn check_names(names: impl IntoIterator<Item = String>) -> Result<(), EnvError> {
+    let mut unknown: Vec<String> = names
+        .into_iter()
+        .filter(|name| name.starts_with("NDP_") && !KNOWN.contains(&name.as_str()))
         .collect();
-    out.sort();
-    out
+    unknown.sort();
+    let mut unknown = unknown.into_iter().map(|var| {
+        let problem = match KNOWN
+            .iter()
+            .map(|k| (*k, edit_distance(&var, k)))
+            .filter(|(_, d)| *d <= 3)
+            .min_by_key(|(_, d)| *d)
+        {
+            Some((k, _)) => format!("not a known variable (did you mean {k}?)"),
+            None => "not a known variable (ndp_common::env::KNOWN lists them)".to_string(),
+        };
+        EnvError { var, problem }
+    });
+    let Some(mut err) = unknown.next() else {
+        return Ok(());
+    };
+    for other in unknown {
+        err.problem += &format!("; {other}");
+    }
+    Err(err)
 }
 
 /// Levenshtein distance, used only for typo suggestions on the handful of
@@ -215,120 +144,109 @@ fn edit_distance(a: &str, b: &str) -> usize {
 mod tests {
     use super::*;
 
-    // Env-var mutation is process-global; use names no other test reads and
-    // restore afterwards.
+    /// A lookup over a fixed table, standing in for the process
+    /// environment.
+    fn table<'a>(vars: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |k| {
+            vars.iter()
+                .find(|(n, _)| *n == k)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
+    fn names(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
 
     #[test]
     fn parse_typed_and_absent() {
-        assert_eq!(parse::<u64>("NDP_TEST_UNSET_XYZ"), Ok(None));
-        std::env::set_var("NDP_TEST_PARSE_A", "42");
-        assert_eq!(parse::<u64>("NDP_TEST_PARSE_A"), Ok(Some(42)));
-        std::env::set_var("NDP_TEST_PARSE_A", "4x2");
-        let err = parse::<u64>("NDP_TEST_PARSE_A").unwrap_err();
-        assert_eq!(err.var, "NDP_TEST_PARSE_A");
+        let get = table(&[("NDP_A", "42"), ("NDP_B", "4x2")]);
+        assert_eq!(parse::<u64>(&get, "NDP_UNSET"), Ok(None));
+        assert_eq!(parse::<u64>(&get, "NDP_A"), Ok(Some(42)));
+        let err = parse::<u64>(&get, "NDP_B").unwrap_err();
+        assert_eq!(err.var, "NDP_B");
         assert!(err.to_string().contains("4x2"), "{err}");
-        std::env::remove_var("NDP_TEST_PARSE_A");
     }
 
     #[test]
     fn flag_accepts_bool_spellings() {
-        std::env::set_var("NDP_TEST_FLAG_B", "TRUE");
-        assert_eq!(flag("NDP_TEST_FLAG_B"), Ok(Some(true)));
-        std::env::set_var("NDP_TEST_FLAG_B", "0");
-        assert_eq!(flag("NDP_TEST_FLAG_B"), Ok(Some(false)));
-        std::env::set_var("NDP_TEST_FLAG_B", "yes");
-        assert!(flag("NDP_TEST_FLAG_B").is_err());
-        std::env::remove_var("NDP_TEST_FLAG_B");
+        for (raw, want) in [
+            ("TRUE", true),
+            ("1", true),
+            ("0", false),
+            (" false ", false),
+        ] {
+            assert_eq!(flag(table(&[("NDP_F", raw)]), "NDP_F"), Ok(Some(want)));
+        }
+        assert!(flag(table(&[("NDP_F", "yes")]), "NDP_F").is_err());
+        assert_eq!(flag(table(&[]), "NDP_F"), Ok(None));
     }
 
     #[test]
-    fn typo_detection_suggests_nearest_known() {
-        std::env::set_var("NDP_WATCHDOk", "100");
-        let unknown = unknown_ndp_vars();
-        let hit = unknown
-            .iter()
-            .find(|(name, _)| name == "NDP_WATCHDOk")
-            .expect("typo var reported");
-        assert_eq!(hit.1, Some("NDP_WATCHDOG"));
-        std::env::remove_var("NDP_WATCHDOk");
-    }
-
-    #[test]
-    fn typo_detection_covers_perf_knobs() {
-        // The perf surface is registered: NDP_PERF itself is known (not a
-        // typo), and a misspelled perf knob suggests the real one.
-        assert!(KNOWN.iter().any(|(k, _)| *k == "NDP_PERF"));
-        std::env::set_var("NDP_PERF_STRIDES", "32");
-        let unknown = unknown_ndp_vars();
-        let hit = unknown
-            .iter()
-            .find(|(name, _)| name == "NDP_PERF_STRIDES")
-            .expect("typoed perf knob reported");
-        assert_eq!(hit.1, Some("NDP_PERF_STRIDE"));
-        std::env::remove_var("NDP_PERF_STRIDES");
-    }
-
-    #[test]
-    fn typo_detection_covers_event_core_knobs() {
-        // The event-driven-core surface is registered: the real name is
-        // known (not a typo), and a misspelled knob suggests the real one.
-        assert!(KNOWN.iter().any(|(n, _)| *n == "NDP_NO_SKIP"));
-        std::env::set_var("NDP_NO_SKP", "1");
-        let unknown = unknown_ndp_vars();
-        let hit = unknown
-            .iter()
-            .find(|(name, _)| name == "NDP_NO_SKP")
-            .expect("typoed event-core knob reported");
-        assert_eq!(hit.1, Some("NDP_NO_SKIP"));
-        std::env::remove_var("NDP_NO_SKP");
-    }
-
-    #[test]
-    fn retired_threading_knob_is_reported_as_unknown() {
-        // Intra-cycle threading was removed (DESIGN.md §16); a stale
-        // script that still sets its knob must be flagged rather than
-        // silently ignored. Spelled in two parts so that a search for the
-        // retired name finds only the design note.
-        let stale = ["NDP_", "PARALLEL"].concat();
-        std::env::set_var(&stale, "1");
-        let unknown = unknown_ndp_vars();
-        std::env::remove_var(&stale);
-        assert!(
-            unknown.iter().any(|(name, _)| *name == stale),
-            "{unknown:?}"
+    fn paths_pass_through_trimmed() {
+        assert_eq!(path(table(&[]), "NDP_P"), None);
+        assert_eq!(
+            path(table(&[("NDP_P", "  /tmp/x.ckpt ")]), "NDP_P"),
+            Some(PathBuf::from("/tmp/x.ckpt"))
+        );
+        assert_eq!(
+            path(table(&[("NDP_P", "   ")]), "NDP_P"),
+            None,
+            "blank counts as unset"
         );
     }
 
     #[test]
-    fn typo_detection_covers_checkpoint_knobs() {
-        // The checkpoint/resume surface is registered: the real names are
-        // known (not typos), and a misspelled knob suggests the real one.
-        for k in [
-            "NDP_CHECKPOINT_EVERY",
-            "NDP_CHECKPOINT_PATH",
-            "NDP_RESUME",
-            "NDP_STALL_DUMP",
-        ] {
-            assert!(KNOWN.iter().any(|(n, _)| *n == k), "{k} unregistered");
-        }
-        std::env::set_var("NDP_RESUM", "ckpt.bin");
-        let unknown = unknown_ndp_vars();
-        let hit = unknown
-            .iter()
-            .find(|(name, _)| name == "NDP_RESUM")
-            .expect("typoed checkpoint knob reported");
-        assert_eq!(hit.1, Some("NDP_RESUME"));
-        std::env::remove_var("NDP_RESUM");
+    fn known_and_foreign_names_pass() {
+        assert!(check_names(names(&KNOWN)).is_ok());
+        assert!(
+            check_names(names(&["PATH", "HOME", "CARGO_PKG_NAME"])).is_ok(),
+            "only NDP_ names are checked"
+        );
     }
 
     #[test]
-    fn string_vars_pass_through_trimmed() {
-        assert_eq!(string("NDP_TEST_STR_UNSET"), None);
-        std::env::set_var("NDP_TEST_STR_C", "  /tmp/x.ckpt ");
-        assert_eq!(string("NDP_TEST_STR_C").as_deref(), Some("/tmp/x.ckpt"));
-        std::env::set_var("NDP_TEST_STR_C", "   ");
-        assert_eq!(string("NDP_TEST_STR_C"), None, "blank counts as unset");
-        std::env::remove_var("NDP_TEST_STR_C");
+    fn typo_detection_suggests_nearest_known() {
+        for (typo, known) in [("NDP_NO_SKP", "NDP_NO_SKIP"), ("NDP_RESUM", "NDP_RESUME")] {
+            let err = check_names(names(&["NDP_PERF", typo])).unwrap_err();
+            assert_eq!(err.var, typo);
+            assert!(
+                err.problem.contains(&format!("did you mean {known}?")),
+                "{err}"
+            );
+        }
+        // Two typos at once: one error that names both, each with its own
+        // suggestion, so fixing one does not just uncover the next.
+        let err = check_names(names(&["NDP_RESUM", "NDP_PERF", "NDP_NO_SKP"])).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "NDP_NO_SKP: not a known variable (did you mean NDP_NO_SKIP?); \
+             NDP_RESUM: not a known variable (did you mean NDP_RESUME?)"
+        );
+    }
+
+    #[test]
+    fn typo_detection_covers_perf_knobs() {
+        // NDP_PERF itself is known (not a typo), and a misspelling of it
+        // suggests the real name.
+        assert!(check_names(names(&["NDP_PERF"])).is_ok());
+        let err = check_names(names(&["NDP_PREF"])).unwrap_err();
+        assert_eq!(err.var, "NDP_PREF");
+        assert!(err.problem.contains("did you mean NDP_PERF?"), "{err}");
+    }
+
+    #[test]
+    fn retired_knobs_are_refused() {
+        // A stale script's retired variable fails loudly instead of
+        // silently doing nothing.
+        for stale in [
+            "NDP_PARALLEL",
+            "NDP_WATCHDOG",
+            "NDP_FAULT_DROP",
+            "NDP_PERF_TOL",
+        ] {
+            assert_eq!(check_names(names(&[stale])).unwrap_err().var, stale);
+        }
     }
 
     #[test]

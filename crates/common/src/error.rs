@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use crate::env::EnvError;
 use crate::ids::{Cycle, Node};
 use crate::packet::Packet;
 
@@ -112,6 +113,16 @@ pub enum SimError {
     /// carries the byte-level context. Restores never panic and never
     /// resume silently wrong.
     BadCheckpoint { check: &'static str, detail: String },
+    /// An `NDP_*` environment variable was refused while reading the run
+    /// options: unknown (misspelled or retired), malformed, or set without
+    /// the variable it needs.
+    BadEnv(EnvError),
+}
+
+impl From<EnvError> for SimError {
+    fn from(e: EnvError) -> Self {
+        SimError::BadEnv(e)
+    }
 }
 
 impl fmt::Display for SimError {
@@ -169,6 +180,7 @@ impl fmt::Display for SimError {
             SimError::BadCheckpoint { check, detail } => {
                 write!(f, "checkpoint rejected [{check}]: {detail}")
             }
+            SimError::BadEnv(e) => write!(f, "environment rejected: {e}"),
         }
     }
 }

@@ -12,9 +12,8 @@
 //! evaluation order — so faulty runs are exactly reproducible and a fault
 //! schedule can be replayed from its seed alone.
 //!
-//! Configure programmatically with [`FaultConfig`] or from the environment
-//! (`NDP_FAULT_SEED`, `NDP_FAULT_DROP`, `NDP_FAULT_DUP`, `NDP_FAULT_DELAY_P`,
-//! `NDP_FAULT_DELAY_CYCLES`, `NDP_FAULT_WITHHOLD_CREDITS`).
+//! A schedule is a [`FaultConfig`], passed to a run through
+//! `ndp_core::RunOptions::faults`.
 
 use serde::Serialize;
 
@@ -56,23 +55,6 @@ impl FaultConfig {
     /// Anything at all enabled?
     pub fn is_active(&self) -> bool {
         self.any_packet_faults() || self.withhold_credits
-    }
-
-    /// Read the `NDP_FAULT_*` environment surface; `None` when no fault
-    /// variable is set (the common case — faults fully disabled). A set but
-    /// malformed variable is a typed [`crate::env::EnvError`] panic, never a
-    /// silent fall-back to the default.
-    pub fn from_env() -> Option<Self> {
-        use crate::env::{flag_or_die, parse_or_die};
-        let cfg = FaultConfig {
-            seed: parse_or_die("NDP_FAULT_SEED").unwrap_or(0),
-            drop_prob: parse_or_die("NDP_FAULT_DROP").unwrap_or(0.0),
-            dup_prob: parse_or_die("NDP_FAULT_DUP").unwrap_or(0.0),
-            delay_prob: parse_or_die("NDP_FAULT_DELAY_P").unwrap_or(0.0),
-            delay_cycles: parse_or_die("NDP_FAULT_DELAY_CYCLES").unwrap_or(1_000),
-            withhold_credits: flag_or_die("NDP_FAULT_WITHHOLD_CREDITS").unwrap_or(false),
-        };
-        cfg.is_active().then_some(cfg)
     }
 }
 

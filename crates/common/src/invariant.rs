@@ -15,8 +15,8 @@
 //!   `OffloadToken` (Issued → AtNsu → AckSent → Done) catching duplicate
 //!   CMDs, orphan or duplicate ACKs (promoting the obs layer's orphan-ACK
 //!   heuristic to a first-class violation), and data arriving after
-//!   completion. On by default under `debug_assertions`; force with
-//!   `NDP_DEEP_INVARIANTS=1`/`0`.
+//!   completion. Chosen per run by `ndp_core::RunOptions::deep_invariants`
+//!   (on by default under `debug_assertions`).
 //!
 //! Violations are recorded, not panicked: the run loop surfaces them as
 //! structured `SimError::InvariantViolation` results.
@@ -93,20 +93,6 @@ impl Invariants {
             tokens: HashMap::new(),
             violations: Vec::new(),
         }
-    }
-
-    /// Deep checking default: on for debug builds, overridable either way
-    /// with `NDP_DEEP_INVARIANTS=1`/`0`.
-    pub fn deep_default() -> bool {
-        crate::env::flag_or_die("NDP_DEEP_INVARIANTS").unwrap_or(cfg!(debug_assertions))
-    }
-
-    pub fn deep(&self) -> bool {
-        self.deep
-    }
-
-    pub fn set_deep(&mut self, deep: bool) {
-        self.deep = deep;
     }
 
     fn record(&mut self, msg: String) {

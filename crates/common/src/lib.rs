@@ -12,8 +12,8 @@
 //! errors ([`error`]), the forward-progress watchdog and stall reports
 //! ([`watchdog`]), the protocol-invariant engine ([`invariant`]), and the
 //! deterministic fault injector ([`fault`]). The static-verification layer
-//! lives in [`analysis`] (fabric-graph checks) and [`env`] (typed `NDP_*`
-//! environment parsing with a registry of known knobs).
+//! lives in [`analysis`] (fabric-graph checks) and [`env`] (the registry
+//! of known `NDP_*` variables and their pure, typed parsers).
 
 #![forbid(unsafe_code)]
 

@@ -202,13 +202,13 @@ pub fn metrics_json(report: &ObsReport) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Obs, ObsConfig, TraceSite};
+    use super::super::{Obs, TraceSite};
     use super::*;
     use crate::ids::{Node, OffloadId, OffloadToken};
     use crate::packet::{Packet, PacketKind};
 
     fn report_with_data() -> ObsReport {
-        let mut o = Obs::new(ObsConfig::on());
+        let mut o = Obs::new(true);
         let cmd = Packet::new(
             Node::Sm(3),
             Node::Nsu(1),

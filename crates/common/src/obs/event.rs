@@ -2,9 +2,9 @@
 //!
 //! A [`TraceEvent`] is one packet observed at one of the system's routing
 //! sites; an [`EventRing`] is a bounded recorder of them. The Fig. 2
-//! walkthrough tracer (`ndp-core`), the transaction-latency tracker and the
-//! Chrome-trace exporter all consume this one event stream — there is no
-//! second tracing path.
+//! walkthrough ([`EventRing::render_instance`]), the transaction-latency
+//! tracker and the Chrome-trace exporter all consume this one event
+//! stream — there is no second tracing path.
 
 use serde::Serialize;
 
@@ -90,10 +90,6 @@ pub struct EventRing {
 }
 
 impl EventRing {
-    pub fn disabled() -> Self {
-        EventRing::default()
-    }
-
     pub fn with_limit(limit: usize) -> Self {
         EventRing {
             events: Vec::with_capacity(limit.min(4096)),
@@ -137,6 +133,26 @@ impl EventRing {
     /// The first offload token observed, if any.
     pub fn first_token(&self) -> Option<OffloadToken> {
         self.events.iter().find_map(|e| e.token)
+    }
+
+    /// Render one instance's message flow in the style of Fig. 2(b).
+    pub fn render_instance(&self, token: OffloadToken) -> String {
+        let mut out = format!(
+            "offload instance {token:?} — partitioned-execution message flow (Fig. 2(b)):\n"
+        );
+        for (i, e) in self.instance(token).iter().enumerate() {
+            out.push_str(&format!(
+                "  {:>2}. cycle {:>6}  {:<11} {:<12} {:?} → {:?}  ({} B)\n",
+                i + 1,
+                e.cycle,
+                e.site.name(),
+                e.kind,
+                e.src,
+                e.dst,
+                e.size
+            ));
+        }
+        out
     }
 }
 
@@ -202,7 +218,7 @@ mod tests {
 
     #[test]
     fn disabled_ring_records_nothing() {
-        let mut r = EventRing::disabled();
+        let mut r = EventRing::default();
         let p = Packet::new(
             Node::Sm(0),
             Node::L2(0),

@@ -7,8 +7,8 @@
 //! * [`TimeSeries`] — bounded fixed-interval occupancy sampler;
 //! * [`TxnTracker`] — per-offload-transaction lifecycle latencies keyed by
 //!   `OffloadToken` (CMD issue → RDF drain → NSU execute → ACK return);
-//! * [`EventRing`] — the single protocol-event stream (also backs the
-//!   Fig. 2 walkthrough tracer in `ndp-core`);
+//! * [`EventRing`] — the single protocol-event stream (also renders the
+//!   Fig. 2 walkthrough, [`EventRing::render_instance`]);
 //! * [`ObsReport`] — the serializable outcome, with Chrome trace-event JSON
 //!   ([`ObsReport::chrome_trace_json`], loadable in Perfetto) and a flat
 //!   metrics document ([`ObsReport::metrics_json`]);
@@ -16,9 +16,10 @@
 //!   wall-time and idle-tick attribution, throughput heartbeats, and its
 //!   own Perfetto lane (`NDP_PERF`).
 //!
-//! Everything is gated behind [`ObsConfig`], **off by default**: a disabled
-//! [`Obs`] costs one branch per hook, records nothing, and leaves every
-//! simulation result bit-identical to an uninstrumented run.
+//! Observation is one flag (`ndp_core::RunOptions::obs`), **off by
+//! default**: a disabled [`Obs`] costs one branch per hook, records
+//! nothing, and leaves every simulation result bit-identical to an
+//! uninstrumented run. Its cadence and caps are the constants below.
 
 pub mod chrome;
 pub mod event;
@@ -33,48 +34,22 @@ pub use perf::{Perf, PerfConfig, PerfReport, StageOutcome, StagePerf};
 pub use timeseries::TimeSeries;
 pub use txn::TxnTracker;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ids::Cycle;
 use crate::packet::{Packet, PacketKind};
 
-/// Observability knobs. `Default` is fully disabled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ObsConfig {
-    pub enabled: bool,
-    /// Cycles between occupancy samples.
-    pub sample_interval: u64,
-    /// Max retained samples per time series (older data decimates).
-    pub timeseries_cap: usize,
-    /// Max retained protocol events for trace export.
-    pub event_cap: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            enabled: false,
-            sample_interval: 512,
-            timeseries_cap: 512,
-            event_cap: 16384,
-        }
-    }
-}
-
-impl ObsConfig {
-    /// Enabled with default cadence and caps.
-    pub fn on() -> Self {
-        ObsConfig {
-            enabled: true,
-            ..ObsConfig::default()
-        }
-    }
-}
+/// Cycles between occupancy samples.
+pub const SAMPLE_INTERVAL: u64 = 512;
+/// Max retained samples per time series (older data decimates).
+pub const SERIES_CAP: usize = 512;
+/// Max retained protocol events for trace export.
+pub const EVENT_CAP: usize = 16384;
 
 /// Live observability state for one simulated system.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
-    cfg: ObsConfig,
+    on: bool,
     pub txns: TxnTracker,
     pub events: EventRing,
     /// Occupancy series by name, in creation order. Names are owned so a
@@ -83,59 +58,46 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// The zero-cost default: every hook reduces to one branch.
-    pub fn disabled() -> Self {
-        Obs::default()
-    }
-
-    pub fn new(cfg: ObsConfig) -> Self {
-        let events = if cfg.enabled {
-            EventRing::with_limit(cfg.event_cap)
-        } else {
-            EventRing::disabled()
-        };
+    /// Observation on, or the zero-cost disabled layer whose every hook
+    /// reduces to one branch.
+    pub fn new(on: bool) -> Self {
+        if !on {
+            return Obs::default();
+        }
         Obs {
-            cfg,
-            txns: TxnTracker::default(),
-            events,
-            series: Vec::new(),
+            on,
+            events: EventRing::with_limit(EVENT_CAP),
+            ..Obs::default()
         }
     }
 
     #[inline]
     pub fn is_on(&self) -> bool {
-        self.cfg.enabled
-    }
-
-    pub fn config(&self) -> &ObsConfig {
-        &self.cfg
+        self.on
     }
 
     /// Is an occupancy sample due this cycle?
     #[inline]
     pub fn sample_due(&self, now: Cycle) -> bool {
-        self.cfg.enabled && now.is_multiple_of(self.cfg.sample_interval.max(1))
+        self.on && now.is_multiple_of(SAMPLE_INTERVAL)
     }
 
     /// Earliest cycle at or after `now` with a sample due — the quiescence
     /// horizon of the sampling side-channel. `None` when sampling is off.
     pub fn next_sample_at(&self, now: Cycle) -> Option<Cycle> {
-        if !self.cfg.enabled {
-            return None;
-        }
-        Some(now.next_multiple_of(self.cfg.sample_interval.max(1)))
+        self.on.then(|| now.next_multiple_of(SAMPLE_INTERVAL))
     }
 
     /// Offer one occupancy sample to the named series (created on first
     /// use). Call once per series per due cycle.
     pub fn offer_sample(&mut self, name: &str, v: f64) {
-        if !self.cfg.enabled {
+        if !self.on {
             return;
         }
         match self.series.iter_mut().find(|(n, _)| n == name) {
             Some((_, ts)) => ts.offer(v),
             None => {
-                let mut ts = TimeSeries::new(self.cfg.timeseries_cap);
+                let mut ts = TimeSeries::new(SERIES_CAP);
                 ts.offer(v);
                 self.series.push((name.to_string(), ts));
             }
@@ -153,7 +115,7 @@ impl Obs {
     /// ring and the transaction tracker.
     #[inline]
     pub fn on_packet(&mut self, now: Cycle, site: TraceSite, p: &Packet) {
-        if !self.cfg.enabled {
+        if !self.on {
             return;
         }
         self.events.record(now, site, p);
@@ -183,7 +145,7 @@ impl Obs {
     /// Fold the live state into a serializable report.
     pub fn report(&self) -> ObsReport {
         ObsReport {
-            sample_interval: self.cfg.sample_interval,
+            sample_interval: SAMPLE_INTERVAL,
             txn_issued: self.txns.issued,
             txn_completed: self.txns.completed,
             txn_inflight: self.txns.inflight() as u64,
@@ -202,7 +164,7 @@ impl Obs {
                 .iter()
                 .map(|(name, ts)| SeriesReport {
                     name: name.to_string(),
-                    interval_cycles: self.cfg.sample_interval * ts.stride(),
+                    interval_cycles: SAMPLE_INTERVAL * ts.stride(),
                     samples: ts.samples().to_vec(),
                 })
                 .collect(),
@@ -211,15 +173,8 @@ impl Obs {
     }
 }
 
-crate::snap_value!(ObsConfig {
-    enabled,
-    sample_interval,
-    timeseries_cap,
-    event_cap,
-});
-
 crate::snap_state!(Obs {
-    cfg,
+    on,
     txns,
     events,
     series
@@ -384,7 +339,7 @@ mod tests {
 
     #[test]
     fn disabled_obs_records_nothing() {
-        let mut o = Obs::disabled();
+        let mut o = Obs::new(false);
         assert!(!o.is_on());
         assert!(!o.sample_due(0));
         o.on_packet(1, TraceSite::SmEject, &cmd(1));
@@ -396,7 +351,7 @@ mod tests {
 
     #[test]
     fn packet_hooks_drive_transactions() {
-        let mut o = Obs::new(ObsConfig::on());
+        let mut o = Obs::new(true);
         o.on_packet(10, TraceSite::SmEject, &cmd(5));
         o.on_packet(30, TraceSite::ToNsu, &cmd(5));
         o.on_packet(90, TraceSite::FromNsu, &ack(5));
@@ -409,7 +364,7 @@ mod tests {
 
     #[test]
     fn report_round_trip() {
-        let mut o = Obs::new(ObsConfig::on());
+        let mut o = Obs::new(true);
         o.on_packet(0, TraceSite::SmEject, &cmd(1));
         o.on_packet(64, TraceSite::GpuLinkDown, &ack(1));
         o.offer_sample("sm_ndp_pending", 2.0);

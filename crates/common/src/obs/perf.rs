@@ -60,9 +60,6 @@ pub struct PerfConfig {
     pub heartbeat_interval: u64,
     /// Max retained heartbeats (oldest are dropped).
     pub heartbeat_cap: usize,
-    /// Print each heartbeat to stderr as it is taken (progress display
-    /// for long sweeps; `NDP_PERF_STDERR`).
-    pub stderr_heartbeat: bool,
 }
 
 impl Default for PerfConfig {
@@ -72,7 +69,6 @@ impl Default for PerfConfig {
             stride: 64,
             heartbeat_interval: 1 << 20,
             heartbeat_cap: 256,
-            stderr_heartbeat: false,
         }
     }
 }
@@ -84,24 +80,6 @@ impl PerfConfig {
             enabled: true,
             ..PerfConfig::default()
         }
-    }
-
-    /// The `NDP_PERF*` environment surface: `NDP_PERF` turns profiling
-    /// on, `NDP_PERF_STRIDE` / `NDP_PERF_HEARTBEAT` / `NDP_PERF_STDERR`
-    /// tune it. Malformed values die loudly (typed env policy).
-    pub fn from_env() -> Self {
-        let mut cfg = PerfConfig {
-            enabled: crate::env::flag_or_die("NDP_PERF").unwrap_or(false),
-            ..PerfConfig::default()
-        };
-        if let Some(s) = crate::env::parse_or_die::<u64>("NDP_PERF_STRIDE") {
-            cfg.stride = s.max(1);
-        }
-        if let Some(h) = crate::env::parse_or_die::<u64>("NDP_PERF_HEARTBEAT") {
-            cfg.heartbeat_interval = h;
-        }
-        cfg.stderr_heartbeat = crate::env::flag_or_die("NDP_PERF_STDERR").unwrap_or(false);
-        cfg
     }
 }
 
@@ -154,7 +132,7 @@ pub struct Heartbeat {
     pub route_occupancy: f64,
 }
 
-/// The profiler. One branch per hook when disabled.
+/// The profiler. One branch per hook when disabled (the `Default`).
 #[derive(Debug, Clone, Default)]
 pub struct Perf {
     cfg: PerfConfig,
@@ -180,11 +158,6 @@ pub struct Perf {
 }
 
 impl Perf {
-    /// The zero-cost default: every hook reduces to one branch.
-    pub fn disabled() -> Self {
-        Perf::default()
-    }
-
     /// A profiler for a pipeline whose stages carry the given display
     /// names (index-aligned with the fabric's stage list).
     pub fn new(cfg: PerfConfig, stage_names: Vec<String>) -> Self {
@@ -201,10 +174,6 @@ impl Perf {
     #[inline]
     pub fn is_on(&self) -> bool {
         self.cfg.enabled
-    }
-
-    pub fn config(&self) -> &PerfConfig {
-        &self.cfg
     }
 
     /// Start-of-pipeline-pass hook: decides whether this pass is
@@ -307,12 +276,6 @@ impl Perf {
             cycles_per_sec,
             route_occupancy,
         };
-        if self.cfg.stderr_heartbeat {
-            eprintln!(
-                "[perf] cycle {now}: {cycles_per_sec:.0} cycles/s, \
-                 route occupancy {route_occupancy:.3}"
-            );
-        }
         if self.heartbeats.len() >= self.cfg.heartbeat_cap.max(1) {
             self.heartbeats.pop_front();
         }
@@ -554,7 +517,7 @@ mod tests {
 
     #[test]
     fn disabled_perf_records_nothing() {
-        let mut p = Perf::disabled();
+        let mut p = Perf::default();
         assert!(!p.is_on());
         p.cycle_begin(0);
         p.stage(0, StageOutcome::Routed(3));

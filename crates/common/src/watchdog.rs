@@ -16,7 +16,8 @@ use serde::Serialize;
 use crate::ids::Cycle;
 
 /// Default no-progress threshold (SM cycles) before the watchdog fires.
-/// Override per run with `NDP_WATCHDOG=<cycles>` (`0` disables).
+/// Override per run with `ndp_core::RunOptions::watchdog` (`None`
+/// disables).
 pub const DEFAULT_WATCHDOG_CYCLES: Cycle = 100_000;
 
 /// Per-edge movement record: how often and how recently packets crossed

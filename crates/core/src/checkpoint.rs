@@ -55,11 +55,15 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"NDPCKPT\0");
 /// fixed-shape sequence does, and an occupancy series carries its
 /// capacity. The vault completion heap is written in `Ord` order. A v3
 /// image no longer lines up with these fields, so it must fail on its
-/// schema instead of misdecoding.
-pub const SCHEMA_VERSION: u32 = 4;
+/// schema instead of misdecoding. v5: the execution mode left the image
+/// (the clock section lost its skip byte), because a restore takes it from
+/// its `RunOptions`; and the observability section lost its three caps,
+/// which became constants, leaving one on/off flag. A v4 image must fail
+/// on its schema.
+pub const SCHEMA_VERSION: u32 = 5;
 
-/// File extension used for per-workload checkpoints when
-/// `NDP_CHECKPOINT_PATH` / `NDP_RESUME` name a directory.
+/// File extension used for per-workload checkpoints when the checkpoint
+/// target or resume source names a directory.
 pub const EXTENSION: &str = "ndpckpt";
 
 /// Fixed header size in bytes (magic + schema + 5 × u64 fields).
@@ -268,6 +272,11 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     }
 }
 
+/// Read a checkpoint image from disk; a failure is a typed `read` error.
+pub fn read(path: &Path) -> Result<Vec<u8>, SimError> {
+    fs::read(path).map_err(|e| bad("read", format!("{}: {e}", path.display())))
+}
+
 /// Resolve where a run should save (or look for) its checkpoint: a
 /// directory gets one file per (workload, config) cell —
 /// `<dir>/<workload>-<config_fp>.ndpckpt`, the sweep/`--resume-dir` form,
@@ -281,63 +290,13 @@ pub fn file_for(path: &Path, workload: &str, config_fp: u64) -> PathBuf {
     }
 }
 
-/// Periodic-checkpoint policy, armed by `NDP_CHECKPOINT_EVERY` (cycles)
-/// plus `NDP_CHECKPOINT_PATH` (file, or directory for per-workload files).
-/// Saves land on the first 256-cycle check boundary at or after each
-/// multiple of `every` — the same boundaries the drain/watchdog checks run
-/// on, so a per-cycle and an event-driven run checkpoint at identical
-/// cycles.
-pub struct AutoCheckpoint {
-    every: u64,
-    path: PathBuf,
-    next_at: Cycle,
-}
-
-impl AutoCheckpoint {
-    /// Read the policy from the environment. `NDP_CHECKPOINT_EVERY` without
-    /// a path is a fatal misconfiguration (matching the loud
-    /// `parse_or_die` policy); a path without `EVERY` disables periodic
-    /// saves. `config_fp` is called only when saves are armed.
-    pub fn from_env(
-        workload: &str,
-        now: Cycle,
-        config_fp: impl FnOnce() -> u64,
-    ) -> Option<AutoCheckpoint> {
-        let every = ndp_common::env::parse_or_die::<u64>("NDP_CHECKPOINT_EVERY").unwrap_or(0);
-        if every == 0 {
-            return None;
-        }
-        let Some(path) = ndp_common::env::string("NDP_CHECKPOINT_PATH") else {
-            panic!("NDP_CHECKPOINT_EVERY is set but NDP_CHECKPOINT_PATH is not");
-        };
-        Some(AutoCheckpoint {
-            every,
-            path: file_for(Path::new(&path), workload, config_fp()),
-            // Resumed runs pick up the cadence mid-stream instead of
-            // re-saving at cycles the interrupted run already covered.
-            next_at: (now / every + 1) * every,
-        })
-    }
-
-    /// If a save is due at `now`, advance the cadence and return the
-    /// target path.
-    pub fn due(&mut self, now: Cycle) -> Option<&Path> {
-        if now < self.next_at {
-            return None;
-        }
-        self.next_at = (now / self.every + 1) * self.every;
-        Some(&self.path)
-    }
-}
-
-/// Resolve `NDP_RESUME` for one (workload, config) cell: `None` when
-/// unset, or when it names a directory with no checkpoint for this cell
-/// (that run starts fresh — the sweep form resumes whichever cells were
-/// interrupted). The config is fingerprinted only in the directory form,
-/// so a run with `NDP_RESUME` unset pays nothing.
-pub fn resume_path(workload: &str, cfg: &SystemConfig) -> Option<PathBuf> {
-    let raw = ndp_common::env::string("NDP_RESUME")?;
-    let path = Path::new(&raw);
+/// Resolve a resume source (`RunOptions::resume`) for one (workload,
+/// config) cell: `None` when there is none, or when it names a directory
+/// with no checkpoint for this cell (that run starts fresh — the sweep
+/// form resumes whichever cells were interrupted). The config is
+/// fingerprinted only in the directory form.
+pub fn resume_path(path: Option<&Path>, workload: &str, cfg: &SystemConfig) -> Option<PathBuf> {
+    let path = path?;
     if path.is_dir() {
         let f = file_for(path, workload, config_fingerprint(cfg));
         f.exists().then_some(f)

@@ -11,35 +11,42 @@ use ndp_compiler::{compile, CompilerConfig};
 use ndp_workloads::{Scale, Workload, WORKLOADS};
 
 use crate::checkpoint;
+use crate::options::RunOptions;
 use crate::result::RunResult;
 use crate::system::System;
 
 /// Safety cap: no evaluation run should need more cycles than this.
 pub const DEFAULT_MAX_CYCLES: u64 = 40_000_000;
 
-/// Run one workload under one configuration. Protocol violations panic
-/// here: experiment matrices have no error channel per cell, and a violated
-/// invariant means the simulator itself is broken.
+/// Run one workload under one configuration, with the run options of the
+/// process environment ([`RunOptions::from_env`]). Protocol violations
+/// panic here: experiment matrices have no error channel per cell, and a
+/// violated invariant means the simulator itself is broken.
 pub fn run_workload(w: Workload, cfg: SystemConfig, scale: &Scale, max_cycles: u64) -> RunResult {
-    let program = w.build(scale);
-    // `NDP_RESUME` continues an interrupted run from its checkpoint
+    let opts = RunOptions::from_env().unwrap_or_else(|e| panic!("{e}"));
+    let kernel = Arc::new(compile(&w.build(scale), &CompilerConfig::default()));
+    let fresh = |cfg, kernel| {
+        System::build(cfg, kernel, &opts).unwrap_or_else(|e| panic!("{}: {e}", w.name()))
+    };
+    // A resume source continues an interrupted run from its checkpoint
     // instead of starting fresh; fingerprint checks guarantee the file
     // matches this exact (workload, config) cell.
-    let sys = match checkpoint::resume_path(w.name(), &cfg) {
+    let sys = match checkpoint::resume_path(opts.resume.as_deref(), w.name(), &cfg) {
         Some(path) => {
-            let kernel = Arc::new(compile(&program, &CompilerConfig::default()));
-            match System::restore_from_file(cfg.clone(), kernel, &path) {
+            let restored = checkpoint::read(&path)
+                .and_then(|bytes| System::restore(cfg.clone(), Arc::clone(&kernel), &bytes, &opts));
+            match restored {
                 Ok(sys) => sys,
                 // A kernel-fingerprint mismatch means the snapshot was taken
                 // at a different problem scale (same workload and config cell
                 // name); that is a stale cell, not corruption — start fresh.
                 Err(SimError::BadCheckpoint {
                     check: "kernel", ..
-                }) => System::new(cfg, &program),
+                }) => fresh(cfg, kernel),
                 Err(e) => panic!("{}: resume from {}: {e}", w.name(), path.display()),
             }
         }
-        None => System::new(cfg, &program),
+        None => fresh(cfg, kernel),
     };
     let mut r = sys
         .run(max_cycles)
@@ -79,6 +86,10 @@ pub fn run_matrix(
     scale: &Scale,
     max_cycles: u64,
 ) -> Matrix {
+    // Refuse a bad environment once, here, rather than in every worker.
+    if let Err(e) = RunOptions::from_env() {
+        panic!("{e}");
+    }
     let jobs: Mutex<VecDeque<(usize, usize)>> = Mutex::new(
         (0..configs.len())
             .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))

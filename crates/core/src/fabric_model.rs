@@ -286,7 +286,7 @@ fn lift(cfg: &SystemConfig, stages: &[Stage<System>]) -> FabricGraph {
     g
 }
 
-/// The static graph of the machine `System::with_kernel` would build for
+/// The static graph of the machine `System::build` constructs for
 /// `cfg`, lifted from the executable `PIPELINE` constant.
 pub fn fabric_graph(cfg: &SystemConfig) -> FabricGraph {
     lift(cfg, crate::system::PIPELINE)

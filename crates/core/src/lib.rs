@@ -7,6 +7,8 @@
 //! * [`offload::OffloadController`] makes per-instance offload decisions:
 //!   never / always / static ratio (§7.1), hill-climbing dynamic ratio
 //!   (Algorithm 1, §7.2), and the cache-locality-aware gate (§7.3).
+//! * [`options::RunOptions`] is everything about a run that is not the
+//!   machine: execution mode, checks, faults, observation, checkpoints.
 //! * [`experiments`] regenerates every table and figure of the evaluation.
 //! * [`fabric_model`] lifts the executable fabric pipeline into a static
 //!   graph for ndp-lint's Pass 2 checks; `System` construction runs both
@@ -19,12 +21,13 @@ pub mod experiments;
 pub mod fabric_model;
 pub mod fig5;
 pub mod offload;
+pub mod options;
 pub mod result;
 pub mod system;
 pub mod table;
-pub mod trace;
 
 pub use fabric_model::fabric_graph;
 pub use offload::OffloadController;
+pub use options::RunOptions;
 pub use result::RunResult;
 pub use system::System;

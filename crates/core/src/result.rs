@@ -50,8 +50,8 @@ pub struct RunResult {
     /// protocol events) — `Some` only when observability was enabled.
     pub obs: Option<ObsReport>,
     /// Simulator self-profile (per-stage wall-time/idle attribution,
-    /// throughput heartbeats) — `Some` only when `NDP_PERF` profiling was
-    /// enabled. Never rendered by `Debug`: wall times are host-dependent,
+    /// throughput heartbeats) — `Some` only when `RunOptions::perf`
+    /// armed profiling. Never rendered by `Debug`: wall times are host-dependent,
     /// and golden byte comparisons must hold with profiling on.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub perf: Option<PerfReport>,

@@ -1,17 +1,18 @@
 //! Full-system wiring and the main simulation loop.
 
 use std::fs;
-use std::path::Path;
+use std::num::NonZeroU64;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use ndp_common::config::{OffloadPolicy, SystemConfig};
 use ndp_common::error::{PacketSummary, SimError};
-use ndp_common::fault::{FaultAction, FaultConfig, FaultInjector, FaultStats, InjectedFault};
+use ndp_common::fault::{FaultAction, FaultConfig, FaultInjector, InjectedFault};
 use ndp_common::ids::{Cycle, HmcId, Node};
 use ndp_common::invariant::Invariants;
 use ndp_common::link::Link;
-use ndp_common::obs::perf::{Perf, PerfConfig, StageOutcome};
-use ndp_common::obs::{Obs, ObsConfig};
+use ndp_common::obs::perf::{Perf, StageOutcome};
+use ndp_common::obs::{Obs, TraceSite};
 use ndp_common::packet::{Packet, PacketKind};
 use ndp_common::port::{Component, Edge, Fabric, FabricCtx, Op, Stage};
 use ndp_common::snap::{self, SnapError, SnapReader, SnapState};
@@ -29,8 +30,8 @@ use ndp_nsu::Nsu;
 
 use crate::checkpoint;
 use crate::offload::OffloadController;
+use crate::options::RunOptions;
 use crate::result::RunResult;
-use crate::trace::{TraceSite, Tracer};
 
 // Section tags of the checkpoint payload, in `System::snapshot` order. A
 // reader that drifts out of sync fails on the next tag with a named error
@@ -67,58 +68,41 @@ pub struct System {
     net: MemNetwork,
     nsus: Vec<Nsu>,
     pub ctrl: OffloadController,
-    /// Optional packet tracer (Fig. 2 walkthroughs); disabled by default.
-    pub tracer: Tracer,
-    /// Optional observability layer (latency histograms, occupancy
-    /// time-series, event export); disabled by default.
+    /// Observability layer (latency histograms, occupancy time-series, the
+    /// event ring that also renders Fig. 2 walkthroughs); off unless
+    /// [`RunOptions::obs`].
     pub obs: Obs,
-    /// Optional perf self-profiling layer (per-stage wall-time/idle
-    /// attribution, throughput heartbeats); disabled by default, armed by
-    /// `NDP_PERF=1` or [`System::enable_perf`]. Read-only: it never
-    /// changes simulated behaviour.
+    /// Perf self-profiling layer (per-stage wall-time/idle attribution,
+    /// throughput heartbeats); off unless [`RunOptions::perf`] arms it.
+    /// Read-only: it never changes simulated behaviour.
     pub perf: Perf,
     /// Protocol-invariant engine, fed from the fabric's observation site.
     invariants: Invariants,
-    /// Forward-progress watchdog (`None` disables; `NDP_WATCHDOG=0`).
+    /// Forward-progress watchdog (`None` disables).
     watchdog: Option<Watchdog>,
     /// Deterministic fault injector (`None` = no faults, the default).
     faults: Option<FaultInjector>,
     now: Cycle,
     ndp_on: bool,
     nsu_div: u64,
-    /// Event-driven stage skipping: quiescent stages report `Skipped`
-    /// instead of running, and `run_inner` jumps `now` over whole-system
-    /// idle spans. On by default; `NDP_NO_SKIP=1` (or
-    /// [`System::set_skip`]) forces exhaustive per-cycle ticking.
-    /// Results are bit-identical either way — only wall-clock changes.
+    /// Event-driven stage skipping ([`RunOptions::skip`]): quiescent
+    /// stages report `Skipped` instead of running, and `run_inner` jumps
+    /// `now` over whole-system idle spans. Results are bit-identical
+    /// either way — only wall-clock changes.
     skip: bool,
+    /// Periodic-checkpoint cadence and target ([`RunOptions::checkpoint`]).
+    autosave: Option<(NonZeroU64, PathBuf)>,
+    /// Post-mortem checkpoint directory ([`RunOptions::stall_dump`]).
+    stall_dump: Option<PathBuf>,
 }
 
 impl System {
-    /// Build a system for one kernel under one configuration. Panics if
-    /// the static verifiers reject the kernel's offload partition or the
-    /// lifted fabric graph ([`System::try_new`] returns the error instead).
+    /// Compile `program` and build a system for it under `cfg`, with the
+    /// run options of the process environment ([`RunOptions::from_env`]).
+    /// Panics where [`System::try_with_kernel`] would return an error.
     pub fn new(cfg: SystemConfig, program: &Program) -> Self {
-        match Self::try_new(cfg, program) {
-            Ok(sys) => sys,
-            Err(e) => panic!("static verification failed: {e}"),
-        }
-    }
-
-    /// Fallible [`System::new`]: runs both static verification passes
-    /// (ndp-lint's Pass 1 over the compiled offload blocks, Pass 2 over
-    /// the lifted fabric pipeline) before wiring the machine.
-    pub fn try_new(cfg: SystemConfig, program: &Program) -> Result<Self, SimError> {
         let kernel = Arc::new(compile(program, &CompilerConfig::default()));
-        Self::try_with_kernel(cfg, kernel)
-    }
-
-    /// Panicking [`System::try_with_kernel`].
-    pub fn with_kernel(cfg: SystemConfig, kernel: Arc<CompiledKernel>) -> Self {
-        match Self::try_with_kernel(cfg, kernel) {
-            Ok(sys) => sys,
-            Err(e) => panic!("static verification failed: {e}"),
-        }
+        Self::try_with_kernel(cfg, kernel).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Static verification gate of every construction path: Pass 1 diffs
@@ -149,19 +133,23 @@ impl System {
         Ok(())
     }
 
+    /// [`System::build`] with the run options of the process environment
+    /// ([`RunOptions::from_env`]).
     pub fn try_with_kernel(
         cfg: SystemConfig,
         kernel: Arc<CompiledKernel>,
     ) -> Result<Self, SimError> {
-        Self::construct(cfg, kernel, OnceLock::new())
+        Self::build(cfg, kernel, &RunOptions::from_env()?)
     }
 
-    /// [`System::try_with_kernel`], with the fingerprint cache seeded by
-    /// the caller (empty, or the fingerprints an image was checked against).
-    fn construct(
+    /// Build a system for one compiled kernel under one configuration,
+    /// run as `opts` says. Both static verification passes (ndp-lint's
+    /// Pass 1 over the offload blocks, Pass 2 over the lifted fabric
+    /// pipeline) run first; a rejection is the error.
+    pub fn build(
         cfg: SystemConfig,
         kernel: Arc<CompiledKernel>,
-        fp: OnceLock<checkpoint::Fingerprints>,
+        opts: &RunOptions,
     ) -> Result<Self, SimError> {
         Self::verify_static(&cfg, &kernel)?;
         let ndp_on = cfg.offload != OffloadPolicy::Never;
@@ -209,7 +197,7 @@ impl System {
         Ok(System {
             cfg,
             kernel,
-            fp,
+            fp: OnceLock::new(),
             sms,
             slices,
             up,
@@ -218,69 +206,21 @@ impl System {
             net,
             nsus,
             ctrl,
-            tracer: Tracer::disabled(),
-            obs: Obs::disabled(),
-            perf: Perf::new(PerfConfig::from_env(), stage_names()),
-            invariants: Invariants::new(Invariants::deep_default()),
-            watchdog: match ndp_common::env::parse_or_die::<Cycle>("NDP_WATCHDOG") {
-                Some(0) => None,
-                Some(t) => Some(Watchdog::new(t, &Tx::NAMES)),
-                None => Some(Watchdog::new(DEFAULT_WATCHDOG_CYCLES, &Tx::NAMES)),
-            },
-            faults: FaultConfig::from_env().map(FaultInjector::new),
+            obs: Obs::new(opts.obs),
+            perf: Perf::new(opts.perf, stage_names()),
+            invariants: Invariants::new(opts.deep_invariants),
+            watchdog: opts.watchdog.map(|t| Watchdog::new(t, &Tx::NAMES)),
+            faults: opts
+                .faults
+                .filter(FaultConfig::is_active)
+                .map(FaultInjector::new),
             now: 0,
             ndp_on,
             nsu_div,
-            skip: !ndp_common::env::flag_or_die("NDP_NO_SKIP").unwrap_or(false),
+            skip: opts.skip,
+            autosave: opts.checkpoint.clone(),
+            stall_dump: opts.stall_dump.clone(),
         })
-    }
-
-    /// Enable or disable quiescence-aware stage skipping and next-event
-    /// time jumps (overrides the `NDP_NO_SKIP` default). Skipping is an
-    /// execution strategy, not a model change: outcomes are bit-identical.
-    pub fn set_skip(&mut self, skip: bool) {
-        self.skip = skip;
-    }
-
-    /// Override the watchdog threshold (`None` disables the watchdog).
-    pub fn set_watchdog(&mut self, threshold: Option<Cycle>) {
-        self.watchdog = threshold.map(|t| Watchdog::new(t, &Tx::NAMES));
-    }
-
-    /// Arm the deterministic fault injector for this run.
-    pub fn inject_faults(&mut self, cfg: FaultConfig) {
-        self.faults = cfg.is_active().then(|| FaultInjector::new(cfg));
-    }
-
-    /// Force deep per-token invariant checking on or off (overrides the
-    /// `NDP_DEEP_INVARIANTS` / debug-build default).
-    pub fn set_deep_invariants(&mut self, deep: bool) {
-        self.invariants.set_deep(deep);
-    }
-
-    /// Occurrence counts of injected faults, if the injector is armed.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.faults.as_ref().map(|f| f.stats)
-    }
-
-    /// Record up to `limit` packet movements for protocol inspection.
-    pub fn enable_trace(&mut self, limit: usize) {
-        self.tracer = Tracer::enabled(limit);
-    }
-
-    /// Turn on the observability layer (transaction-latency tracking,
-    /// occupancy sampling, protocol event recording). Observation is
-    /// read-only: enabling it never perturbs simulation outcomes.
-    pub fn enable_obs(&mut self, cfg: ObsConfig) {
-        self.obs = Obs::new(cfg);
-    }
-
-    /// Arm (or, with a disabled config, disarm) the perf self-profiling
-    /// layer, overriding whatever `NDP_PERF` said at construction.
-    /// Profiling is read-only: it never perturbs simulation outcomes, and
-    /// its wall-clock readings never feed back into the model.
-    pub fn enable_perf(&mut self, cfg: PerfConfig) {
-        self.perf = Perf::new(cfg, stage_names());
     }
 
     /// One SM-clock cycle: execute the fabric pipeline, surfacing any
@@ -379,11 +319,15 @@ impl System {
     /// watchdog, which aborts the run early with a structured
     /// [`StallReport`] instead of spinning silently to the cycle cap.
     fn run_inner(&mut self, max_cycles: u64) -> Result<Outcome, SimError> {
-        let mut auto =
-            checkpoint::AutoCheckpoint::from_env(self.kernel.program.name, self.now, || {
-                self.fingerprints().config
-            });
-        let stall_dump = ndp_common::env::string("NDP_STALL_DUMP");
+        // Periodic checkpoints: the cadence and this run's file. A resumed
+        // run picks the cadence up mid-stream instead of re-saving cycles
+        // the interrupted run already covered.
+        let autosave = self.autosave.as_ref().map(|(every, target)| {
+            let name = self.kernel.program.name;
+            let file = checkpoint::file_for(target, name, self.fingerprints().config);
+            (every.get(), file)
+        });
+        let mut last_save = self.now;
         let mut out = Outcome {
             timed_out: true,
             stall: None,
@@ -405,15 +349,14 @@ impl System {
                     break;
                 }
                 // Periodic checkpoints ride the same boundary as the
-                // drain/watchdog checks, so per-cycle and event-driven
-                // runs save at identical cycles. Reading state only —
-                // a save never perturbs the simulation.
-                if let Some(a) = &mut auto {
-                    if let Some(path) = a.due(self.now) {
-                        let image = self.snapshot();
-                        checkpoint::write_atomic(path, &image).map_err(|e| {
-                            checkpoint::bad("write", format!("{}: {e}", path.display()))
-                        })?;
+                // drain/watchdog checks: the first one at or after each
+                // multiple of the cadence, so per-cycle and event-driven
+                // runs save at identical cycles. Reading state only — a
+                // save never perturbs the simulation.
+                if let Some((every, file)) = &autosave {
+                    if self.now / every > last_save / every {
+                        last_save = self.now;
+                        self.save_checkpoint(file)?;
                     }
                 }
                 let instrs: u64 = self.sms.iter().map(|s| s.stats.issued).sum::<u64>()
@@ -422,8 +365,8 @@ impl System {
                     w.note_instrs(self.now, instrs);
                     if let Some(stalled_for) = w.stalled_for(self.now) {
                         out.stall = Some(Box::new(self.build_stall_report(stalled_for)));
-                        if let Some(dir) = &stall_dump {
-                            self.dump_stall_checkpoint(Path::new(dir));
+                        if let Some(dir) = &self.stall_dump {
+                            self.dump_stall_checkpoint(dir);
                         }
                         break;
                     }
@@ -709,7 +652,7 @@ impl System {
         if let Some(f) = &self.faults {
             if f.cfg.withhold_credits {
                 wait_for.push(format!(
-                    "fault injector withheld {} credit returns (NDP_FAULT_WITHHOLD_CREDITS)",
+                    "fault injector withheld {} credit returns (withhold_credits)",
                     f.stats.credits_withheld
                 ));
             }
@@ -743,7 +686,7 @@ impl System {
     /// checksummed checkpoint image (the full file contents, header
     /// included).
     ///
-    /// Included: the clock and the skip flag, every SM (warp contexts,
+    /// Included: the clock, every SM (warp contexts,
     /// scoreboards, L1 + MSHRs, NDP buffers, output queue), every L2
     /// slice, both GPU link directions, every HMC stack (vault queues,
     /// DRAM bank timing, port FIFOs), the memory network, every
@@ -755,9 +698,10 @@ impl System {
     /// Deliberately excluded — rebuilt by fresh construction on restore:
     /// the config, the compiled kernel and everything derived from them
     /// (capacities, timings, memory map, topology), both guarded by
-    /// header fingerprints; the packet tracer and the perf self-profiler,
-    /// which are host-side diagnostics that never influence simulated
-    /// state.
+    /// header fingerprints; and the run options that never change a
+    /// `RunResult` (execution mode, perf self-profiler, checkpoint
+    /// cadence, stall dump), which the restore takes from its
+    /// [`RunOptions`].
     pub fn snapshot(&self) -> Vec<u8> {
         let System {
             cfg: _,
@@ -771,7 +715,6 @@ impl System {
             net,
             nsus,
             ctrl,
-            tracer: _,
             obs,
             perf: _,
             invariants,
@@ -780,12 +723,13 @@ impl System {
             now,
             ndp_on: _,
             nsu_div: _,
-            skip,
+            skip: _,
+            autosave: _,
+            stall_dump: _,
         } = self;
         let mut w = checkpoint::writer();
         w.tag(SEC_CLOCK);
         now.snap(&mut w);
-        skip.snap(&mut w);
         w.tag(SEC_SMS);
         snap::snap_each(sms, &mut w);
         w.tag(SEC_SLICES);
@@ -815,8 +759,23 @@ impl System {
         checkpoint::seal(self.fingerprints(), *now, w)
     }
 
+    /// [`System::restore`] with the run options of the process
+    /// environment ([`RunOptions::from_env`]).
+    pub fn try_restore(
+        cfg: SystemConfig,
+        kernel: Arc<CompiledKernel>,
+        bytes: &[u8],
+    ) -> Result<System, SimError> {
+        Self::restore(cfg, kernel, bytes, &RunOptions::from_env()?)
+    }
+
     /// Rebuild a system from a checkpoint image taken by
     /// [`System::snapshot`] under exactly this (config, kernel) pair.
+    ///
+    /// The image supplies everything that can change the `RunResult`:
+    /// machine state, and with it the fault schedule, the watchdog, the
+    /// invariant depth and the observability layer. `opts` supplies the
+    /// rest, so an image saved per-cycle can resume event-driven.
     ///
     /// The machine is first constructed fresh (re-deriving every
     /// config/kernel-dependent shape), then overwritten component by
@@ -825,14 +784,16 @@ impl System {
     /// the constructed shapes — comes back as a typed
     /// [`SimError::BadCheckpoint`]; corrupt input never panics and never
     /// resumes silently wrong.
-    pub fn try_restore(
+    pub fn restore(
         cfg: SystemConfig,
         kernel: Arc<CompiledKernel>,
         bytes: &[u8],
+        opts: &RunOptions,
     ) -> Result<System, SimError> {
         let fp = checkpoint::Fingerprints::of(&cfg, &kernel);
         let (header, payload) = checkpoint::open(bytes, fp)?;
-        let mut sys = System::construct(cfg, kernel, OnceLock::from(fp))?;
+        let mut sys = System::build(cfg, kernel, opts)?;
+        sys.fp = OnceLock::from(fp);
         let mut r = SnapReader::new(payload);
         sys.restore_payload(&mut r)
             .and_then(|()| r.finish())
@@ -859,7 +820,6 @@ impl System {
     fn restore_payload(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.tag(SEC_CLOCK, "clock")?;
         self.now.restore(r)?;
-        self.skip.restore(r)?;
         r.tag(SEC_SMS, "sms")?;
         snap::restore_each(&mut self.sms, r, "System.sms")?;
         r.tag(SEC_SLICES, "slices")?;
@@ -905,9 +865,7 @@ impl System {
         kernel: Arc<CompiledKernel>,
         path: &Path,
     ) -> Result<System, SimError> {
-        let bytes = fs::read(path)
-            .map_err(|e| checkpoint::bad("read", format!("{}: {e}", path.display())))?;
-        Self::try_restore(cfg, kernel, &bytes)
+        Self::try_restore(cfg, kernel, &checkpoint::read(path)?)
     }
 
     /// Advance to exactly `target` using the session's execution strategy
@@ -929,7 +887,7 @@ impl System {
     }
 
     /// Best-effort post-mortem snapshot next to a watchdog stall report
-    /// (`NDP_STALL_DUMP=<dir>`). A write failure is reported on stderr but
+    /// ([`RunOptions::stall_dump`]). A write failure is reported on stderr but
     /// never masks the stall report itself.
     fn dump_stall_checkpoint(&self, dir: &Path) {
         let file = dir.join(format!(
@@ -1396,7 +1354,6 @@ impl FabricCtx for System {
     }
 
     fn observe(&mut self, now: Cycle, site: TraceSite, p: &Packet) {
-        self.tracer.record(now, site, p);
         self.obs.on_packet(now, site, p);
         self.invariants.on_packet(now, site, p);
     }

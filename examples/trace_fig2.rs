@@ -4,22 +4,31 @@
 //!
 //! Run: `cargo run --release --example trace_fig2`
 
+use std::sync::Arc;
+
 use standardized_ndp::prelude::*;
 
 fn main() {
     let program = Workload::Vadd.build(&Scale { warps: 8, iters: 1 });
     let mut cfg = SystemConfig::naive_ndp();
     cfg.gpu.num_sms = 2;
-    let mut sys = System::new(cfg, &program);
-    sys.enable_trace(10_000);
+    let kernel = Arc::new(compile(&program, &CompilerConfig::default()));
+    // The observability layer's event ring records every packet movement
+    // the walkthrough renders.
+    let opts = RunOptions {
+        obs: true,
+        ..RunOptions::default()
+    };
+    let mut sys = System::build(cfg, kernel, &opts).expect("builtin workload builds");
     for _ in 0..200_000u64 {
         sys.tick();
         if sys.is_done() {
             break;
         }
     }
-    let token = sys.tracer.first_token().expect("an offload happened");
-    println!("{}", sys.tracer.render_instance(token));
+    let events = &sys.obs.events;
+    let token = events.first_token().expect("an offload happened");
+    println!("{}", events.render_instance(token));
     println!(
         "Legend (paper Fig. 2(b)): OffloadCmd = ①, Rdf = ②③ (read requests,\n\
          addresses generated on the GPU), RdfResp = ⑤⑥ (DRAM data forwarded\n\

@@ -37,8 +37,8 @@ for b in $BINS; do
     ./target/release/$b > $R/$b.txt 2>&1
 done
 # Simulator self-profile: per-stage host-time/idle attribution for the
-# recorded scale (NDP_PERF_* env tunes stride and heartbeat cadence).
-NDP_PERF=1 ./target/release/obs_report > $R/perf_report.txt 2>&1
+# recorded scale (obs_report always profiles).
+./target/release/obs_report > $R/perf_report.txt 2>&1
 # Core throughput baseline for regression gating (BENCH_core.json).
 ./target/release/bench_baseline --out $R/BENCH_core.json > $R/bench_baseline.txt 2>&1
 ./target/release/make_report

@@ -2,13 +2,15 @@
 //!
 //! The contract under test: **a resumed run is byte-identical to an
 //! uninterrupted one**. For every workload, snapshot cycle, execution mode
-//! (per-cycle, event-driven) and fault schedule, snapshotting at
-//! cycle N, dropping the live system, restoring from the serialized bytes
-//! and running to completion must produce exactly the `{:#?}` rendering an
-//! uninterrupted run produces. And the flip side: corrupted, truncated,
-//! version-bumped or config-mismatched checkpoints are rejected with a
-//! typed [`SimError::BadCheckpoint`] naming the failed check — never a
-//! panic, never a silently wrong resume.
+//! (per-cycle, event-driven) and fault schedule, snapshotting at cycle N,
+//! dropping the live system, restoring from the serialized bytes and
+//! running to completion must produce exactly the `{:#?}` rendering an
+//! uninterrupted run produces — also when the resume runs in the other
+//! execution mode, which the restore takes from its `RunOptions`, not from
+//! the image. And the flip side: corrupted, truncated, version-bumped or
+//! config-mismatched checkpoints are rejected with a typed
+//! [`SimError::BadCheckpoint`] naming the failed check — never a panic,
+//! never a silently wrong resume.
 
 use std::sync::Arc;
 
@@ -50,43 +52,60 @@ fn delay_faults() -> FaultConfig {
     }
 }
 
+/// The environment's run options (CI's deep-invariant leg reaches the
+/// suite through them) in `mode`, under `faults`.
+fn opts(mode: Mode, faults: Option<FaultConfig>) -> RunOptions {
+    let mut o = RunOptions::from_env().expect("valid NDP_* environment");
+    o.skip = matches!(mode, Mode::Event);
+    o.faults = faults;
+    o
+}
+
+fn fresh_with(cfg: &SystemConfig, w: Workload, opts: &RunOptions) -> System {
+    System::build(cfg.clone(), kernel_for(w), opts).expect("builtin workload builds")
+}
+
 fn fresh(cfg: &SystemConfig, w: Workload, mode: Mode, faults: Option<FaultConfig>) -> System {
-    let p = w.build(&scale());
-    let mut sys = System::new(cfg.clone(), &p);
-    sys.set_skip(matches!(mode, Mode::Event));
-    if let Some(f) = faults {
-        sys.inject_faults(f);
-    }
-    sys
+    fresh_with(cfg, w, &opts(mode, faults))
+}
+
+/// A fresh event-driven system with the observability layer on.
+fn observed(cfg: &SystemConfig, w: Workload) -> System {
+    let mut o = opts(Mode::Event, None);
+    o.obs = true;
+    fresh_with(cfg, w, &o)
 }
 
 fn kernel_for(w: Workload) -> Arc<ndp_compiler::CompiledKernel> {
     Arc::new(compile(&w.build(&scale()), &CompilerConfig::default()))
 }
 
-/// Snapshot a `mode` run of `w` at `snap_at`, restore into a brand-new
-/// system, run to completion, and demand the exact golden rendering.
+/// Snapshot a `save` run of `w` at `snap_at`, restore into a brand-new
+/// system that runs in `resume` mode, run to completion, and demand the
+/// exact golden rendering. The restore's options carry no faults: the
+/// image supplies the schedule.
 fn assert_resume_equivalent(
     cfg: &SystemConfig,
     w: Workload,
-    mode: Mode,
+    (save, resume): (Mode, Mode),
     faults: Option<FaultConfig>,
     snap_at: u64,
     golden: &str,
 ) {
-    let mut sys = fresh(cfg, w, mode, faults);
+    let mut sys = fresh(cfg, w, save, faults);
     sys.run_until(snap_at)
         .expect("no violation before the snapshot point");
     let bytes = sys.snapshot();
     drop(sys); // the "interruption"
 
-    let resumed = System::try_restore(cfg.clone(), kernel_for(w), &bytes)
+    let resumed = System::restore(cfg.clone(), kernel_for(w), &bytes, &opts(resume, None))
         .expect("pristine checkpoint accepted");
     let r = resumed.run(MAX).expect("no violation after resume");
     assert_eq!(
         format!("{r:#?}"),
         golden,
-        "{}/{mode:?} resumed at cycle {snap_at} diverged from the uninterrupted run",
+        "{}: saved {save:?} at cycle {snap_at}, resumed {resume:?}: diverged from the \
+         uninterrupted run",
         w.name()
     );
 }
@@ -115,37 +134,46 @@ fn resume_is_byte_identical_for_all_workloads() {
     for &w in WORKLOADS.iter() {
         let (gold, cycles) = golden(&cfg, w, Mode::Event, None);
         for snap_at in [cycles / 4, cycles * 3 / 4] {
-            assert_resume_equivalent(&cfg, w, Mode::Event, None, snap_at.max(1), &gold);
+            let modes = (Mode::Event, Mode::Event);
+            assert_resume_equivalent(&cfg, w, modes, None, snap_at.max(1), &gold);
         }
     }
 }
 
 /// Both execution modes agree with each other *and* survive a mid-run
-/// snapshot: the golden is taken per-cycle, the resumes run per-cycle and
-/// event-driven.
+/// snapshot in either mode: the golden is taken per-cycle, and an image
+/// saved in each mode resumes in each mode — per-cycle to event-driven and
+/// the reverse included, because the mode is a run option the restore
+/// takes, not part of the image.
 #[test]
 fn resume_is_byte_identical_across_execution_modes() {
     let cfg = small_ndp();
     for w in [Workload::Vadd, Workload::Bfs, Workload::Bprop] {
         let (gold, cycles) = golden(&cfg, w, Mode::PerCycle, None);
-        for mode in MODES {
-            assert_resume_equivalent(&cfg, w, mode, None, cycles / 3, &gold);
+        for save in MODES {
+            for resume in MODES {
+                assert_resume_equivalent(&cfg, w, (save, resume), None, cycles / 3, &gold);
+            }
         }
     }
 }
 
 /// A seeded fault schedule's decision stream, held packets and fault
-/// statistics all survive the round trip: resumed runs replay the exact
-/// same faults the uninterrupted run sees.
+/// statistics all survive the round trip, also into the other execution
+/// mode: resumed runs replay the exact same faults the uninterrupted run
+/// sees.
 #[test]
 fn resume_is_byte_identical_under_seeded_faults() {
     let cfg = small_ndp();
     let faults = Some(delay_faults());
     for w in [Workload::Vadd, Workload::Bfs] {
-        for mode in MODES {
-            let (gold, cycles) = golden(&cfg, w, mode, faults);
+        for save in MODES {
+            let (gold, cycles) = golden(&cfg, w, save, faults);
             for frac in [4u64, 2] {
-                assert_resume_equivalent(&cfg, w, mode, faults, (cycles / frac).max(1), &gold);
+                let snap_at = (cycles / frac).max(1);
+                for resume in MODES {
+                    assert_resume_equivalent(&cfg, w, (save, resume), faults, snap_at, &gold);
+                }
             }
         }
     }
@@ -158,25 +186,21 @@ fn resume_is_byte_identical_for_baseline_config() {
     let mut cfg = SystemConfig::baseline();
     cfg.gpu.num_sms = 8;
     let (gold, cycles) = golden(&cfg, Workload::Vadd, Mode::Event, None);
-    assert_resume_equivalent(&cfg, Workload::Vadd, Mode::Event, None, cycles / 2, &gold);
+    let modes = (Mode::Event, Mode::Event);
+    assert_resume_equivalent(&cfg, Workload::Vadd, modes, None, cycles / 2, &gold);
 }
 
 /// The observability layer is part of the result (`RunResult::obs`), so it
 /// is part of the checkpoint: histograms, time-series and event rings
-/// resume without a seam.
+/// resume without a seam, and the image, not the restoring options, says
+/// whether observation is on.
 #[test]
 fn observability_state_survives_resume() {
     let cfg = small_ndp();
     let w = Workload::Vadd;
-    let run_gold = || {
-        let mut sys = fresh(&cfg, w, Mode::Event, None);
-        sys.enable_obs(ObsConfig::on());
-        sys.run(MAX).expect("clean")
-    };
-    let gold = format!("{:#?}", run_gold());
+    let gold = format!("{:#?}", observed(&cfg, w).run(MAX).expect("clean"));
 
-    let mut sys = fresh(&cfg, w, Mode::Event, None);
-    sys.enable_obs(ObsConfig::on());
+    let mut sys = observed(&cfg, w);
     sys.run_until(1_024).expect("clean prefix");
     let bytes = sys.snapshot();
     drop(sys);
@@ -230,13 +254,8 @@ fn restore_then_snapshot_reproduces_the_image() {
     ] {
         cfg.gpu.num_sms = 8;
         for &w in WORKLOADS.iter() {
-            let observed = || {
-                let mut sys = fresh(&cfg, w, Mode::Event, None);
-                sys.enable_obs(ObsConfig::on());
-                sys
-            };
-            let cycles = observed().run(MAX).expect("clean run").cycles;
-            let mut sys = observed();
+            let cycles = observed(&cfg, w).run(MAX).expect("clean run").cycles;
+            let mut sys = observed(&cfg, w);
             sys.run_until(cycles / 2).expect("clean prefix");
             let image = sys.snapshot();
             let again = System::try_restore(cfg.clone(), kernel_for(w), &image)
@@ -308,7 +327,8 @@ fn truncations_are_rejected() {
 }
 
 /// A future or past schema version is refused by name, before any payload
-/// decoding happens: a previous-version image is not misdecoded.
+/// decoding happens: a previous-version image (v4, whose clock section
+/// still carried the execution mode) is not misdecoded.
 #[test]
 fn schema_version_bump_is_rejected() {
     let cfg = small_ndp();
@@ -421,28 +441,28 @@ fn file_round_trip_resumes_identically() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A wedged machine's watchdog post-mortem (`NDP_STALL_DUMP`) writes a
-/// checkpoint next to the stall report, and that checkpoint restores into
-/// a system frozen at the stall cycle — the state a post-mortem inspects.
+/// A wedged machine's watchdog post-mortem (`RunOptions::stall_dump`)
+/// writes a checkpoint next to the stall report, and that checkpoint
+/// restores into a system frozen at the stall cycle — the state a
+/// post-mortem inspects.
 #[test]
 fn watchdog_stall_dumps_a_restorable_checkpoint() {
     let mut cfg = small_ndp();
     cfg.nsu.cmd_entries = 2;
-    let p = Workload::Vadd.build(&scale());
+    let w = Workload::Vadd;
     let dir = std::env::temp_dir().join(format!("ndp-stall-dump-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    std::env::set_var("NDP_STALL_DUMP", &dir);
-    let mut sys = System::new(cfg.clone(), &p);
-    sys.set_watchdog(Some(4_096));
-    sys.inject_faults(FaultConfig {
+    let mut wedge = opts(Mode::Event, None);
+    wedge.watchdog = Some(4_096);
+    wedge.stall_dump = Some(dir.clone());
+    wedge.faults = Some(FaultConfig {
         withhold_credits: true,
         ..Default::default()
     });
-    let r = sys
+    let r = fresh_with(&cfg, w, &wedge)
         .run(50_000)
         .expect("a wedge is a stall, not a violation");
-    std::env::remove_var("NDP_STALL_DUMP");
 
     let stall = r.stall.as_deref().expect("watchdog fired");
     let dumped: Vec<_> = std::fs::read_dir(&dir)
@@ -451,9 +471,8 @@ fn watchdog_stall_dumps_a_restorable_checkpoint() {
         .collect();
     assert_eq!(dumped.len(), 1, "exactly one post-mortem file: {dumped:?}");
 
-    let kernel = Arc::new(compile(&p, &CompilerConfig::default()));
     let restored =
-        System::restore_from_file(cfg, kernel, &dumped[0]).expect("post-mortem restores");
+        System::restore_from_file(cfg, kernel_for(w), &dumped[0]).expect("post-mortem restores");
     assert_eq!(
         restored.cycle(),
         stall.cycle,

@@ -7,12 +7,23 @@
 //! outcomes. These tests pin that contract across every workload, both
 //! bench scales, and a fault-injection seed.
 //!
-//! Modes are selected with [`System::set_skip`] rather than `NDP_NO_SKIP`:
+//! Modes are selected with [`RunOptions::skip`] rather than `NDP_NO_SKIP`:
 //! env vars are process-global and tests run concurrently.
+
+use std::sync::Arc;
 
 use standardized_ndp::prelude::*;
 
 const MAX: u64 = 30_000_000;
+
+/// `w` at `scale` on `cfg`, with the environment's run options (CI's
+/// deep-invariant leg reaches the suite through them) as `tune` sets them.
+fn system(cfg: SystemConfig, w: Workload, scale: &Scale, tune: impl Fn(&mut RunOptions)) -> System {
+    let mut opts = RunOptions::from_env().expect("valid NDP_* environment");
+    tune(&mut opts);
+    let kernel = Arc::new(compile(&w.build(scale), &CompilerConfig::default()));
+    System::build(cfg, kernel, &opts).expect("builtin workload builds")
+}
 
 fn run_mode(
     cfg: &SystemConfig,
@@ -23,9 +34,7 @@ fn run_mode(
 ) -> RunResult {
     let mut cfg = cfg.clone();
     cfg.gpu.num_sms = num_sms;
-    let p = w.build(scale);
-    let mut sys = System::new(cfg, &p);
-    sys.set_skip(skip);
+    let sys = system(cfg, w, scale, |o| o.skip = skip);
     let r = sys.run(MAX).expect("no protocol violation");
     assert!(!r.timed_out, "{} timed out", w.name());
     r
@@ -97,10 +106,10 @@ fn fault_seed_equivalence() {
     let outcome = |faults: FaultConfig, skip: bool| {
         let mut cfg = SystemConfig::ndp_dynamic_cache();
         cfg.gpu.num_sms = 8;
-        let p = Workload::Vadd.build(&SMALL);
-        let mut sys = System::new(cfg, &p);
-        sys.set_skip(skip);
-        sys.inject_faults(faults);
+        let sys = system(cfg, Workload::Vadd, &SMALL, |o| {
+            o.skip = skip;
+            o.faults = Some(faults);
+        });
         match sys.run(MAX) {
             Ok(r) => format!("OK\n{r:#?}"),
             Err(e) => format!("ERR\n{e:?}"),

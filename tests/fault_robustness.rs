@@ -7,7 +7,18 @@
 //! protocol violation (`Err(SimError)`), or aborts early with a structured
 //! [`StallReport`] naming the starved resource.
 
+use std::sync::Arc;
+
 use standardized_ndp::prelude::*;
+
+/// The small program on `cfg`, with the environment's run options (CI's
+/// deep-invariant leg reaches the suite through them) as `tune` sets them.
+fn system(cfg: SystemConfig, tune: impl FnOnce(&mut RunOptions)) -> System {
+    let mut opts = RunOptions::from_env().expect("valid NDP_* environment");
+    tune(&mut opts);
+    let kernel = Arc::new(compile(&small_program(), &CompilerConfig::default()));
+    System::build(cfg, kernel, &opts).expect("builtin workload builds")
+}
 
 fn small_ndp_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::naive_ndp();
@@ -31,12 +42,12 @@ fn withheld_credits_wedge_is_detected_and_named() {
     // Two command entries per HMC: the pools drain almost immediately once
     // returns stop, so the wedge (and its detection) happens early.
     cfg.nsu.cmd_entries = 2;
-    let p = small_program();
-    let mut sys = System::new(cfg, &p);
-    sys.set_watchdog(Some(4_096));
-    sys.inject_faults(FaultConfig {
-        withhold_credits: true,
-        ..Default::default()
+    let sys = system(cfg, |o| {
+        o.watchdog = Some(4_096);
+        o.faults = Some(FaultConfig {
+            withhold_credits: true,
+            ..Default::default()
+        });
     });
     let r = sys
         .run(50_000)
@@ -78,18 +89,18 @@ fn withheld_credits_wedge_is_detected_and_named() {
 /// A `timed_out` with no report is the one forbidden outcome.
 #[test]
 fn every_fault_schedule_ends_in_a_structured_outcome() {
-    let p = small_program();
     for seed in 0..8u64 {
-        let mut sys = System::new(small_ndp_cfg(), &p);
-        sys.set_watchdog(Some(30_000));
-        sys.set_deep_invariants(true);
-        sys.inject_faults(FaultConfig {
-            seed,
-            drop_prob: 0.01,
-            dup_prob: 0.01,
-            delay_prob: 0.05,
-            delay_cycles: 500,
-            ..Default::default()
+        let sys = system(small_ndp_cfg(), |o| {
+            o.watchdog = Some(30_000);
+            o.deep_invariants = true;
+            o.faults = Some(FaultConfig {
+                seed,
+                drop_prob: 0.01,
+                dup_prob: 0.01,
+                delay_prob: 0.05,
+                delay_cycles: 500,
+                ..Default::default()
+            });
         });
         match sys.run(2_000_000) {
             Err(e) => {
@@ -118,15 +129,15 @@ fn every_fault_schedule_ends_in_a_structured_outcome() {
 /// the same injected-fault counts on two independent runs.
 #[test]
 fn fault_schedules_replay_exactly_from_their_seed() {
-    let p = small_program();
     let run_once = || {
-        let mut sys = System::new(small_ndp_cfg(), &p);
-        sys.set_watchdog(Some(30_000));
-        sys.inject_faults(FaultConfig {
-            seed: 3,
-            drop_prob: 0.005,
-            dup_prob: 0.005,
-            ..Default::default()
+        let sys = system(small_ndp_cfg(), |o| {
+            o.watchdog = Some(30_000);
+            o.faults = Some(FaultConfig {
+                seed: 3,
+                drop_prob: 0.005,
+                dup_prob: 0.005,
+                ..Default::default()
+            });
         });
         match sys.run(2_000_000) {
             Ok(r) => (true, r.faults.expect("injector armed")),
@@ -150,10 +161,10 @@ fn fault_schedules_replay_exactly_from_their_seed() {
 /// violations, and the protocol counters balance at drain.
 #[test]
 fn clean_run_passes_deep_invariants_with_watchdog_armed() {
-    let p = small_program();
-    let mut sys = System::new(small_ndp_cfg(), &p);
-    sys.set_watchdog(Some(10_000));
-    sys.set_deep_invariants(true);
+    let sys = system(small_ndp_cfg(), |o| {
+        o.watchdog = Some(10_000);
+        o.deep_invariants = true;
+    });
     let r = sys.run(2_000_000).expect("clean run violates nothing");
     assert!(!r.timed_out, "healthy machine must drain");
     assert!(r.stall.is_none(), "no stall report on a clean run");
@@ -167,10 +178,10 @@ fn clean_run_passes_deep_invariants_with_watchdog_armed() {
 fn baseline_run_is_clean_under_deep_invariants() {
     let mut cfg = SystemConfig::baseline();
     cfg.gpu.num_sms = 8;
-    let p = small_program();
-    let mut sys = System::new(cfg, &p);
-    sys.set_watchdog(Some(10_000));
-    sys.set_deep_invariants(true);
+    let sys = system(cfg, |o| {
+        o.watchdog = Some(10_000);
+        o.deep_invariants = true;
+    });
     let r = sys.run(2_000_000).expect("baseline violates nothing");
     assert!(!r.timed_out);
     assert!(r.stall.is_none());

@@ -14,8 +14,12 @@
 //! git diff tests/golden/fig7_small.txt   # review before committing!
 //! ```
 
-use standardized_ndp::prelude::*;
+use std::num::NonZeroU64;
 use std::path::PathBuf;
+use std::sync::Arc;
+
+use standardized_ndp::common::env;
+use standardized_ndp::prelude::*;
 
 const MAX: u64 = 30_000_000;
 
@@ -28,8 +32,9 @@ fn golden_path() -> PathBuf {
 
 /// The fig7 sweep at test scale: every config column of the speedup figure
 /// over a workload sample that exercises GPU-side caching (Vadd), irregular
-/// access (Bfs), and the offload protocol (Bprop).
-fn sweep() -> String {
+/// access (Bfs), and the offload protocol (Bprop), each run under `opts`.
+/// `check` sees every result before it is rendered.
+fn sweep_with(opts: &RunOptions, check: impl Fn(&str, &mut RunResult)) -> String {
     let mut out = String::new();
     for (cname, cfg) in [
         ("baseline", SystemConfig::baseline()),
@@ -43,26 +48,29 @@ fn sweep() -> String {
                 warps: 64,
                 iters: 4,
             });
-            let r = System::new(cfg, &p)
+            let kernel = Arc::new(compile(&p, &CompilerConfig::default()));
+            let mut r = System::build(cfg, kernel, opts)
+                .expect("builtin workload builds")
                 .run(MAX)
                 .expect("no protocol violation");
-            assert!(!r.timed_out, "{cname}/{} timed out", w.name());
-            out.push_str(&format!("=== {cname} / {} ===\n{r:#?}\n", w.name()));
+            let name = format!("{cname} / {}", w.name());
+            assert!(!r.timed_out, "{name} timed out");
+            check(&name, &mut r);
+            out.push_str(&format!("=== {name} ===\n{r:#?}\n"));
         }
     }
     out
 }
 
-#[test]
-fn fig7_small_matches_golden() {
-    let got = sweep();
+/// The sweep under the environment's run options (CI's per-cycle and
+/// deep-invariant legs reach it through them).
+fn sweep() -> String {
+    let opts = RunOptions::from_env().expect("valid NDP_* environment");
+    sweep_with(&opts, |_, _| {})
+}
+
+fn assert_matches_golden(got: &str) {
     let path = golden_path();
-    if std::env::var_os("NDP_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("blessed {} ({} bytes)", path.display(), got.len());
-        return;
-    }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing golden file {} ({e}); run with NDP_BLESS=1 to create it",
@@ -88,6 +96,48 @@ fn fig7_small_matches_golden() {
             got.lines().count(),
         );
     }
+}
+
+#[test]
+fn fig7_small_matches_golden() {
+    let got = sweep();
+    let path = golden_path();
+    let bless = env::flag(|k| std::env::var(k).ok(), "NDP_BLESS").expect("NDP_BLESS is a flag");
+    if bless == Some(true) {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &got).unwrap();
+        eprintln!("blessed {} ({} bytes)", path.display(), got.len());
+        return;
+    }
+    assert_matches_golden(&got);
+}
+
+/// Every run option on at once — observation, profiling, deep invariant
+/// checks, per-cycle execution, periodic checkpoints and a stall-dump
+/// directory — still reproduces the committed golden byte for byte, once
+/// the one field observation adds (`RunResult::obs`) is dropped.
+#[test]
+fn fig7_small_matches_golden_with_every_option_on() {
+    let dir = std::env::temp_dir().join(format!("ndp-golden-all-on-{}", std::process::id()));
+    let ckpt = dir.join("ckpt");
+    std::fs::create_dir_all(&ckpt).unwrap();
+    let opts = RunOptions {
+        skip: false,
+        deep_invariants: true,
+        obs: true,
+        perf: PerfConfig::on(),
+        checkpoint: Some((NonZeroU64::new(512).unwrap(), ckpt.clone())),
+        stall_dump: Some(dir.join("stalls")),
+        ..RunOptions::default()
+    };
+    let got = sweep_with(&opts, |name, r| {
+        assert!(r.perf.is_some(), "{name}: profiling was on");
+        assert!(r.obs.take().is_some(), "{name}: observation was on");
+    });
+    let saved = std::fs::read_dir(&ckpt).unwrap().count();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(saved, 9, "one periodic checkpoint file per cell");
+    assert_matches_golden(&got);
 }
 
 /// Same sweep twice in one process must agree with itself — catches any

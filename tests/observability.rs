@@ -2,18 +2,25 @@
 //! change simulation outcomes, and an enabled run must produce the full
 //! report (latency segments, occupancy series, exportable trace).
 
+use std::sync::Arc;
+
 use standardized_ndp::prelude::*;
 
 const MAX: u64 = 30_000_000;
 
-fn system(w: Workload) -> System {
+/// `w` on a small NaiveNDP machine, with the environment's run options and
+/// observation on or off.
+fn system(w: Workload, obs: bool) -> System {
     let mut cfg = SystemConfig::naive_ndp();
     cfg.gpu.num_sms = 8;
     let p = w.build(&Scale {
         warps: 64,
         iters: 4,
     });
-    System::new(cfg, &p)
+    let mut opts = RunOptions::from_env().expect("valid NDP_* environment");
+    opts.obs = obs;
+    let kernel = Arc::new(compile(&p, &CompilerConfig::default()));
+    System::build(cfg, kernel, &opts).expect("builtin workload builds")
 }
 
 #[test]
@@ -21,10 +28,8 @@ fn observation_is_invisible_to_the_simulation() {
     // The tentpole guarantee: obs hooks are read-only, so a run with
     // observability on is bit-identical (cycles, traffic, energy activity —
     // the whole RunResult) to the same run with it off.
-    let off = system(Workload::Vadd).run(MAX).unwrap();
-    let mut sys = system(Workload::Vadd);
-    sys.enable_obs(ObsConfig::on());
-    let mut on = sys.run(MAX).unwrap();
+    let off = system(Workload::Vadd, false).run(MAX).unwrap();
+    let mut on = system(Workload::Vadd, true).run(MAX).unwrap();
     assert!(!off.timed_out && !on.timed_out);
     assert!(on.obs.is_some(), "enabled run must carry a report");
     on.obs = None;
@@ -33,9 +38,7 @@ fn observation_is_invisible_to_the_simulation() {
 
 #[test]
 fn enabled_run_reports_all_segments_and_series() {
-    let mut sys = system(Workload::Vadd);
-    sys.enable_obs(ObsConfig::on());
-    let r = sys.run(MAX).unwrap();
+    let r = system(Workload::Vadd, true).run(MAX).unwrap();
     assert!(!r.timed_out);
     let obs = r.obs.as_ref().expect("report present");
 
@@ -87,9 +90,7 @@ fn enabled_run_reports_all_segments_and_series() {
 
 #[test]
 fn exporters_emit_wellformed_documents() {
-    let mut sys = system(Workload::Vadd);
-    sys.enable_obs(ObsConfig::on());
-    let r = sys.run(MAX).unwrap();
+    let r = system(Workload::Vadd, true).run(MAX).unwrap();
     let obs = r.obs.as_ref().expect("report present");
 
     let trace = obs.chrome_trace_json();
@@ -112,17 +113,25 @@ fn exporters_emit_wellformed_documents() {
 
 #[test]
 fn tracer_and_obs_share_one_event_stream() {
-    // The Fig. 2 tracer and the obs event ring are the same substrate: an
-    // instance rendered by one must appear in the other's export.
-    let mut sys = system(Workload::Vadd);
-    sys.enable_trace(4096);
-    sys.enable_obs(ObsConfig::on());
+    // The Fig. 2 walkthrough is rendered from the obs event ring itself:
+    // every event of the rendered instance is in the exported report.
+    let mut sys = system(Workload::Vadd, true);
+    sys.run_until(20_000).expect("clean prefix");
+    let ring = sys.obs.events.clone();
+    let token = ring.first_token().expect("an offload happened");
+    let instance = ring.instance(token);
+    assert!(instance.iter().all(|e| e.token == Some(token)));
+    let text = ring.render_instance(token);
+    assert!(
+        text.contains("OffloadCmd") && text.contains("OffloadAck"),
+        "{text}"
+    );
+    assert_eq!(text.lines().count(), 1 + instance.len(), "{text}");
+
     let r = sys.run(MAX).unwrap();
     let obs = r.obs.as_ref().expect("report present");
-    assert!(!obs.events.is_empty(), "obs ring captured protocol events");
-    let with_tokens = obs.events.iter().filter(|e| e.token.is_some()).count();
     assert!(
-        with_tokens > 0,
-        "NDP packets carry tokens in the shared ring"
+        instance.iter().all(|e| obs.events.contains(e)),
+        "rendered events missing from the exported ring"
     );
 }

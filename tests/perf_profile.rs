@@ -3,21 +3,30 @@
 //! must arm it end to end, and the per-stage counters must account for
 //! every pipeline pass.
 
+use std::sync::Arc;
+
 use standardized_ndp::prelude::*;
 
 const MAX: u64 = 10_000_000;
 
-fn small_run(perf: Option<PerfConfig>) -> RunResult {
+/// A small NDP machine and the Vadd kernel it runs.
+fn small_cell() -> (SystemConfig, Arc<ndp_compiler::CompiledKernel>) {
     let mut cfg = SystemConfig::ndp_dynamic_cache();
     cfg.gpu.num_sms = 8;
     let program = Workload::Vadd.build(&Scale {
         warps: 64,
         iters: 4,
     });
-    let mut sys = System::new(cfg, &program);
-    // Explicitly arm or disarm (overriding any ambient NDP_PERF): env vars
-    // are process-global and tests run concurrently.
-    sys.enable_perf(perf.unwrap_or_default());
+    (cfg, Arc::new(compile(&program, &CompilerConfig::default())))
+}
+
+/// A small NDP run with the environment's run options (CI's `NDP_NO_SKIP`
+/// leg reaches this suite through them) as `tune` sets them.
+fn small_run(tune: impl FnOnce(&mut RunOptions)) -> RunResult {
+    let (cfg, kernel) = small_cell();
+    let mut opts = RunOptions::from_env().expect("valid NDP_* environment");
+    tune(&mut opts);
+    let sys = System::build(cfg, kernel, &opts).expect("builtin workload builds");
     let r = sys.run(MAX).expect("no protocol violation");
     assert!(!r.timed_out);
     r
@@ -29,10 +38,11 @@ fn small_run(perf: Option<PerfConfig>) -> RunResult {
 /// inside its Debug output.
 #[test]
 fn profiling_keeps_sim_output_byte_identical() {
-    let off = small_run(None);
-    let mut on_cfg = PerfConfig::on();
-    on_cfg.heartbeat_interval = 4096;
-    let on = small_run(Some(on_cfg));
+    let off = small_run(|o| o.perf = PerfConfig::default());
+    let on = small_run(|o| {
+        o.perf = PerfConfig::on();
+        o.perf.heartbeat_interval = 4096;
+    });
     assert!(off.perf.is_none(), "disarmed run must carry no perf report");
     assert!(on.perf.is_some(), "armed run must carry a perf report");
     assert_eq!(
@@ -45,21 +55,20 @@ fn profiling_keeps_sim_output_byte_identical() {
     assert_eq!(off.nsu_instrs, on.nsu_instrs);
 }
 
-/// The typed env knob arms profiling through `System` construction.
+/// The `NDP_PERF` knob in the process environment arms profiling through
+/// `System::try_with_kernel`, which reads the environment on every call
+/// (the benchmark's traced passes depend on it). CI's per-cycle leg runs
+/// this suite with `NDP_PERF=1`; without it the same path must leave
+/// profiling off. The test only reads the variable: setting it would leak
+/// into the tests running concurrently.
 #[test]
 fn ndp_perf_env_knob_arms_profiling() {
-    let mut cfg = SystemConfig::ndp_dynamic_cache();
-    cfg.gpu.num_sms = 8;
-    let program = Workload::Vadd.build(&Scale {
-        warps: 64,
-        iters: 4,
-    });
-    std::env::set_var("NDP_PERF", "1");
-    let sys = System::new(cfg, &program);
-    std::env::remove_var("NDP_PERF");
+    let armed = ndp_common::env::flag(|k| std::env::var(k).ok(), "NDP_PERF").expect("a flag");
+    let (cfg, kernel) = small_cell();
+    let sys = System::try_with_kernel(cfg, kernel).expect("builtin workload builds");
     let r = sys.run(MAX).expect("no protocol violation");
-    let perf = r.perf.expect("NDP_PERF=1 must arm the profiler");
-    assert_eq!(perf.cycles, r.cycles);
+    let want = armed.unwrap_or(false).then_some(r.cycles);
+    assert_eq!(r.perf.map(|p| p.cycles), want, "NDP_PERF={armed:?}");
 }
 
 /// Counter completeness: every pipeline stage is reported exactly once
@@ -67,9 +76,10 @@ fn ndp_perf_env_knob_arms_profiling() {
 /// stages move real work, and heartbeats track throughput.
 #[test]
 fn stage_counters_account_for_every_cycle() {
-    let mut cfg = PerfConfig::on();
-    cfg.heartbeat_interval = 512;
-    let r = small_run(Some(cfg));
+    let r = small_run(|o| {
+        o.perf = PerfConfig::on();
+        o.perf.heartbeat_interval = 512;
+    });
     let perf = r.perf.as_ref().expect("profiling was enabled");
 
     assert_eq!(perf.cycles, r.cycles);
@@ -119,7 +129,7 @@ fn stage_counters_account_for_every_cycle() {
     // `NDP_NO_SKIP=1` (the CI per-cycle matrix leg) the same identity
     // above must hold with zero skips — every cycle fully ticked.
     let total_skipped: u64 = perf.stages.iter().map(|s| s.skipped).sum();
-    let no_skip = standardized_ndp::common::env::flag_or_die("NDP_NO_SKIP").unwrap_or(false);
+    let no_skip = !RunOptions::from_env().expect("valid environment").skip;
     if no_skip {
         assert_eq!(total_skipped, 0, "NDP_NO_SKIP run still skipped a stage");
     } else {

@@ -133,9 +133,12 @@ fn every_offload_cmd_gets_exactly_one_ack() {
         warps: 64,
         iters: 4,
     });
-    let mut sys = System::new(cfg, &p);
-    sys.enable_obs(ObsConfig::on());
-    let r = sys.run(MAX).unwrap();
+    let opts = RunOptions {
+        obs: true,
+        ..RunOptions::from_env().expect("valid NDP_* environment")
+    };
+    let kernel = std::sync::Arc::new(compile(&p, &CompilerConfig::default()));
+    let r = System::build(cfg, kernel, &opts).unwrap().run(MAX).unwrap();
     assert!(!r.timed_out, "run did not drain");
     let obs = r.obs.as_ref().expect("observability enabled");
     assert!(r.offloaded > 0);
