@@ -1,8 +1,8 @@
 //! Criterion benchmarks of the core simulator loop, paired with the
 //! `bench_baseline` binary: the `core` group times the same fig7 scenarios
 //! that `BENCH_core.json` records, and the `fabric` group isolates the
-//! packet-movement primitive (`run_edge` over typed ports) that the
-//! cycle-skipping rework will touch first.
+//! packet-movement primitive (`run_edge` over typed ports) that every
+//! fabric edge runs on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;

@@ -1,12 +1,12 @@
 //! Throughput baseline for the core simulator (`BENCH_core.json`).
 //!
-//! The cycle-skipping rework planned for the core loop (ROADMAP item 1)
-//! needs two guarantees before it lands: the model's outputs must not
-//! change (the golden determinism test pins that), and host throughput
-//! must not regress (this module pins that). [`measure`] runs a fixed
-//! workload set, records simulated-cycles-per-second plus the per-stage
-//! idle fractions from the perf self-profile, and [`check`] compares a
-//! fresh measurement against a committed baseline with a tolerance band.
+//! A change to the core loop must keep two guarantees: the model's outputs
+//! must not change (the golden determinism test pins that), and host
+//! throughput must not regress (this module pins that). [`measure`] runs
+//! a fixed workload set, records simulated-cycles-per-second plus the
+//! per-stage idle fractions from the perf self-profile, and [`check`]
+//! compares a fresh measurement against a committed baseline with a
+//! tolerance band.
 //!
 //! The `bench_baseline` binary is the CLI for both directions:
 //!
@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ndp_common::obs::perf::{PerfConfig, StagePerf};
+use ndp_common::obs::perf::StagePerf;
 use ndp_common::SystemConfig;
 use ndp_compiler::{compile, CompiledKernel, CompilerConfig};
 use ndp_core::system::System;
@@ -96,7 +96,7 @@ fn kernel(spec: &BenchSpec, w: Workload) -> Arc<CompiledKernel> {
 
 /// A machine for one of `spec`'s workloads, run as the environment says
 /// but with profiling set by `perf`, whatever `NDP_PERF` is.
-fn system(spec: &BenchSpec, w: Workload, perf: PerfConfig) -> System {
+fn system(spec: &BenchSpec, w: Workload, perf: bool) -> System {
     let opts = RunOptions {
         perf,
         ..RunOptions::from_env().unwrap_or_else(|e| panic!("{e}"))
@@ -113,7 +113,7 @@ pub fn run_once(spec: &BenchSpec) -> u64 {
     for &w in spec.workloads {
         // Profiling off: the throughput number must measure the
         // uninstrumented hot loop.
-        let r = system(spec, w, PerfConfig::default())
+        let r = system(spec, w, false)
             .run(MAX_CYCLES)
             .expect("no protocol violation");
         assert!(!r.timed_out, "{}/{} timed out", spec.name, w.name());
@@ -249,7 +249,7 @@ pub fn measure(spec: &BenchSpec) -> BenchEntry {
 
     let mut stage_reports = Vec::new();
     for &w in spec.workloads {
-        let r = system(spec, w, PerfConfig::on())
+        let r = system(spec, w, true)
             .run(MAX_CYCLES)
             .expect("no protocol violation");
         stage_reports.push(r.perf.expect("profiling was enabled").stages);
@@ -262,7 +262,7 @@ pub fn measure(spec: &BenchSpec) -> BenchEntry {
     let (ckpt_bytes, ckpt_save_ns, ckpt_restore_ns) = {
         let w = spec.workloads[0];
         let kernel = kernel(spec, w);
-        let mut sys = system(spec, w, PerfConfig::default());
+        let mut sys = system(spec, w, false);
         sys.run_until(4_096).expect("no protocol violation");
         let t0 = Instant::now();
         let image = sys.snapshot();

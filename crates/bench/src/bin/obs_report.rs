@@ -17,7 +17,6 @@
 
 use std::sync::Arc;
 
-use ndp_common::obs::PerfConfig;
 use ndp_compiler::{compile, CompilerConfig};
 use ndp_core::experiments::fig9_configs;
 use ndp_core::system::System;
@@ -51,7 +50,7 @@ fn main() {
     // and the strided timer keeps the profiling cost negligible.
     let opts = RunOptions {
         obs: true,
-        perf: PerfConfig::on(),
+        perf: true,
         ..RunOptions::from_env().unwrap_or_else(|e| panic!("{e}"))
     };
     let r = System::build(cfg, kernel, &opts)
@@ -72,14 +71,20 @@ fn main() {
     let perf = r.perf.as_ref().expect("profiling was enabled");
     println!("{}", perf.table_text());
 
-    let trace_path = "obs_trace.json";
-    let metrics_path = "obs_metrics.json";
-    let perf_path = "perf_trace.json";
-    std::fs::write(trace_path, report.chrome_trace_json()).expect("write trace");
-    std::fs::write(metrics_path, report.metrics_json()).expect("write metrics");
-    std::fs::write(perf_path, perf.chrome_trace_json()).expect("write perf trace");
+    let trace = serde_json::to_string(&report.chrome_trace());
+    let metrics = serde_json::to_string_pretty(&report.metrics());
+    let perf_trace = serde_json::to_string(&perf.chrome_trace());
+    for (path, json) in [
+        ("obs_trace.json", trace),
+        ("obs_metrics.json", metrics),
+        ("perf_trace.json", perf_trace),
+    ] {
+        std::fs::write(path, json.expect("documents serialize") + "\n")
+            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    }
     println!(
-        "wrote {trace_path} and {perf_path} (open in https://ui.perfetto.dev) and {metrics_path}"
+        "wrote obs_trace.json and perf_trace.json (open in https://ui.perfetto.dev) \
+         and obs_metrics.json"
     );
 
     if r.timed_out {

@@ -25,8 +25,6 @@ pub struct LinkStats {
     pub packets: u64,
     /// Cycles during which the serializer was busy.
     pub busy_cycles: u64,
-    /// Bytes per packet kind (indexed by `Packet::kind_index`).
-    pub kind_bytes: [u64; PacketKind::COUNT],
 }
 
 /// One direction of a link.
@@ -103,7 +101,6 @@ impl Link {
     fn account(&mut self, p: &Packet) {
         self.stats.bytes += p.size as u64;
         self.stats.packets += 1;
-        self.stats.kind_bytes[p.kind_index()] += p.size as u64;
         if p.is_ndp() {
             self.stats.ndp_bytes += p.size as u64;
         }
@@ -151,7 +148,6 @@ crate::snap_value!(LinkStats {
     inval_bytes,
     packets,
     busy_cycles,
-    kind_bytes,
 });
 
 // The serializer queue carries bit-exact partial-send remainders.

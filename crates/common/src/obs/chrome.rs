@@ -1,203 +1,284 @@
-//! Trace and metrics exporters.
+//! Trace and metrics documents.
 //!
-//! [`chrome_trace_json`] renders an [`ObsReport`] as Chrome trace-event
-//! JSON — the `{"traceEvents": [...]}` format that Perfetto
+//! [`ChromeTrace`] is the Chrome trace-event format, the
+//! `{"traceEvents": [...]}` document that Perfetto
 //! (<https://ui.perfetto.dev>) and `chrome://tracing` load directly.
-//! Protocol events become instant events on one thread lane per routing
-//! site; occupancy series become counter tracks. Timestamps are in
-//! simulated SM cycles, mapped 1 cycle = 1 µs of trace time.
+//! [`ObsReport::chrome_trace`] fills it with protocol events, as instant
+//! events on one thread lane per routing site, and with occupancy series,
+//! as counter tracks; timestamps are simulated SM cycles, mapped 1 cycle =
+//! 1 µs of trace time. [`PerfReport::chrome_trace`] fills the same type
+//! with the simulator's self-profile, a third lane.
 //!
-//! [`metrics_json`] renders the same report as a flat JSON document. Both
-//! are hand-rolled (the report holds only numbers and static names), so
-//! exporting needs no serializer framework.
+//! [`Metrics`] is the flat metrics document ([`ObsReport::metrics`]). All
+//! of these are plain serde types: the caller serializes them (with
+//! `serde_json`, which writes a non-finite float as `null`).
+
+use std::collections::BTreeMap;
+
+use serde::{Deserialize, Serialize};
 
 use super::perf::PerfReport;
-use super::{ObsReport, TraceSite};
+use super::{HistogramSummary, ObsReport, TraceSite};
 
 /// Version stamp of the flat metrics document. Bumped to 2 when the field
 /// itself was introduced (v1 documents carry no version).
 pub const METRICS_SCHEMA_VERSION: u32 = 2;
 
-/// Minimal JSON string escape (quotes, backslashes, control characters).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// JSON-safe float: finite values print as-is, anything else as null.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 const PID_PROTOCOL: u32 = 0;
 const PID_OCCUPANCY: u32 = 1;
 const PID_PERF: u32 = 2;
 
-/// Render a report as Chrome trace-event JSON.
-pub fn chrome_trace_json(report: &ObsReport) -> String {
-    let mut ev: Vec<String> = Vec::new();
+/// A Chrome trace-event document.
+#[allow(non_snake_case)] // the format's own key names
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ChromeTrace {
+    pub displayTimeUnit: String,
+    pub traceEvents: Vec<ChromeEvent>,
+}
 
-    // Process / thread naming metadata.
-    ev.push(format!(
-        r#"{{"name":"process_name","ph":"M","pid":{PID_PROTOCOL},"tid":0,"args":{{"name":"NDP protocol"}}}}"#
-    ));
-    ev.push(format!(
-        r#"{{"name":"process_name","ph":"M","pid":{PID_OCCUPANCY},"tid":0,"args":{{"name":"queue occupancy"}}}}"#
-    ));
-    for site in TraceSite::ALL {
-        ev.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":{PID_PROTOCOL},"tid":{},"args":{{"name":"{}"}}}}"#,
-            site.index(),
-            esc(site.key())
-        ));
+/// One trace event. Its phase `ph` is `M` (metadata naming a process or
+/// thread lane), `i` (an instant), `C` (a counter sample) or `X` (a span
+/// of `dur` µs).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ChromeEvent {
+    pub name: String,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub cat: Option<String>,
+    pub ph: String,
+    /// An instant's scope (`t`: its thread lane).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub s: Option<String>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub ts: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub dur: Option<u64>,
+    pub pid: u32,
+    pub tid: u32,
+    pub args: Args,
+}
+
+/// An event's `args`. Each phase fills its own fields and leaves the rest
+/// out of the document.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct Args {
+    /// `M`: the lane's name.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub name: Option<String>,
+    /// `i`: where the packet was seen, its endpoints and size…
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub site: Option<String>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub src: Option<String>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub dst: Option<String>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub size: Option<u32>,
+    /// …and its offload token, written as `null` for a packet outside the
+    /// offload protocol (which a parse reads back as `None`).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub token: Option<Option<u64>>,
+    /// `C`: the sample.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub value: Option<f64>,
+    /// `X`: the stage's counters (see [`super::StagePerf`]).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub invocations: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub gated: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub idle: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub moved: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub idle_frac: Option<f64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub wall_frac: Option<f64>,
+}
+
+impl ChromeTrace {
+    fn new(events: Vec<ChromeEvent>) -> Self {
+        ChromeTrace {
+            displayTimeUnit: "ms".to_string(),
+            traceEvents: events,
+        }
     }
+}
 
-    // Protocol events: one instant event per observed packet movement.
-    for e in &report.events {
-        let token = match e.token {
-            Some(t) => format!("{}", t.0),
-            None => "null".to_string(),
-        };
-        ev.push(format!(
-            r#"{{"name":"{}","cat":"packet","ph":"i","s":"t","ts":{},"pid":{PID_PROTOCOL},"tid":{},"args":{{"site":"{}","src":"{}","dst":"{}","size":{},"token":{}}}}}"#,
-            esc(e.kind),
-            e.cycle,
-            e.site.index(),
-            esc(e.site.key()),
-            esc(&format!("{:?}", e.src)),
-            esc(&format!("{:?}", e.dst)),
-            e.size,
-            token
-        ));
-    }
-
-    // Occupancy series: counter events.
-    for s in &report.series {
-        for (i, v) in s.samples.iter().enumerate() {
-            ev.push(format!(
-                r#"{{"name":"{}","ph":"C","ts":{},"pid":{PID_OCCUPANCY},"tid":0,"args":{{"value":{}}}}}"#,
-                esc(&s.name),
-                i as u64 * s.interval_cycles,
-                num(*v)
-            ));
+impl ChromeEvent {
+    /// An event of phase `ph` with no category, scope, time or args.
+    fn new(name: &str, ph: &str, pid: u32, tid: u32) -> Self {
+        ChromeEvent {
+            name: name.to_string(),
+            cat: None,
+            ph: ph.to_string(),
+            s: None,
+            ts: None,
+            dur: None,
+            pid,
+            tid,
+            args: Args::default(),
         }
     }
 
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
-        ev.join(",\n")
-    )
+    /// Metadata `meta` (`process_name` or `thread_name`) naming a lane.
+    fn lane(meta: &str, pid: u32, tid: u32, name: &str) -> Self {
+        ChromeEvent {
+            args: Args {
+                name: Some(name.to_string()),
+                ..Args::default()
+            },
+            ..ChromeEvent::new(meta, "M", pid, tid)
+        }
+    }
 }
 
-/// Render the simulator's self-profile as Chrome trace-event JSON: a
-/// third Perfetto lane next to the protocol and occupancy ones. Per-stage
-/// estimated wall time renders as one span per stage laid end to end (a
-/// one-frame flame view of where host time goes); heartbeats render as
-/// counter tracks (cycles/sec and routing occupancy over sim cycles).
-pub fn perf_chrome_trace_json(report: &PerfReport) -> String {
-    let mut ev: Vec<String> = Vec::new();
-    ev.push(format!(
-        r#"{{"name":"process_name","ph":"M","pid":{PID_PERF},"tid":0,"args":{{"name":"simulator perf (host wall time)"}}}}"#
-    ));
-    ev.push(format!(
-        r#"{{"name":"thread_name","ph":"M","pid":{PID_PERF},"tid":0,"args":{{"name":"stage wall time"}}}}"#
-    ));
-    let mut ts = 0u64;
-    for s in &report.stages {
-        let dur_us = s.est_wall_ns / 1_000;
-        ev.push(format!(
-            r#"{{"name":"{}","cat":"perf","ph":"X","ts":{ts},"dur":{dur_us},"pid":{PID_PERF},"tid":0,"args":{{"invocations":{},"gated":{},"idle":{},"moved":{},"idle_frac":{},"wall_frac":{}}}}}"#,
-            esc(&s.name),
-            s.invocations,
-            s.gated,
-            s.idle,
-            s.moved,
-            num(s.idle_frac),
-            num(s.wall_frac)
-        ));
-        ts += dur_us;
-    }
-    for hb in &report.heartbeats {
-        ev.push(format!(
-            r#"{{"name":"cycles_per_sec","ph":"C","ts":{},"pid":{PID_PERF},"tid":1,"args":{{"value":{}}}}}"#,
-            hb.cycle,
-            num(hb.cycles_per_sec)
-        ));
-        ev.push(format!(
-            r#"{{"name":"route_occupancy","ph":"C","ts":{},"pid":{PID_PERF},"tid":1,"args":{{"value":{}}}}}"#,
-            hb.cycle,
-            num(hb.route_occupancy)
-        ));
-    }
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
-        ev.join(",\n")
-    )
+/// The flat metrics document: offload-transaction counts, a latency
+/// summary per round-trip segment and the samples of each occupancy
+/// series, keyed by segment and series name.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Metrics {
+    pub schema_version: u32,
+    /// Cycles between occupancy samples, before decimation.
+    pub sample_interval: u64,
+    pub txn: TxnCounts,
+    pub latency_cycles: BTreeMap<String, HistogramSummary>,
+    pub occupancy: BTreeMap<String, Samples>,
 }
 
-/// Render a report as a flat JSON metrics document.
-pub fn metrics_json(report: &ObsReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"schema_version\": {METRICS_SCHEMA_VERSION},\n"
-    ));
-    out.push_str(&format!(
-        "  \"sample_interval\": {},\n  \"txn\": {{\"issued\": {}, \"completed\": {}, \"inflight\": {}, \"orphan_acks\": {}}},\n",
-        report.sample_interval,
-        report.txn_issued,
-        report.txn_completed,
-        report.txn_inflight,
-        report.orphan_acks
-    ));
-    out.push_str("  \"latency_cycles\": {\n");
-    let lat: Vec<String> = report
-        .latency
-        .iter()
-        .map(|s| {
-            let l = &s.latency;
-            format!(
-                "    \"{}\": {{\"count\": {}, \"mean\": {}, \"min\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-                esc(&s.segment),
-                l.count,
-                num(l.mean),
-                l.min,
-                l.p50,
-                l.p90,
-                l.p99,
-                l.max
-            )
-        })
-        .collect();
-    out.push_str(&lat.join(",\n"));
-    out.push_str("\n  },\n  \"occupancy\": {\n");
-    let ser: Vec<String> = report
-        .series
-        .iter()
-        .map(|s| {
-            let vals: Vec<String> = s.samples.iter().map(|v| num(*v)).collect();
-            format!(
-                "    \"{}\": {{\"interval_cycles\": {}, \"samples\": [{}]}}",
-                esc(&s.name),
-                s.interval_cycles,
-                vals.join(", ")
-            )
-        })
-        .collect();
-    out.push_str(&ser.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
+/// Offload transactions by state.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct TxnCounts {
+    pub issued: u64,
+    pub completed: u64,
+    pub inflight: u64,
+    pub orphan_acks: u64,
+}
+
+/// The retained samples of one occupancy series.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Samples {
+    /// Cycles between retained samples (base interval × decimation stride).
+    pub interval_cycles: u64,
+    pub samples: Vec<f64>,
+}
+
+impl ObsReport {
+    /// The report as a Chrome trace (open in Perfetto or
+    /// `chrome://tracing`).
+    pub fn chrome_trace(&self) -> ChromeTrace {
+        let mut ev = vec![
+            ChromeEvent::lane("process_name", PID_PROTOCOL, 0, "NDP protocol"),
+            ChromeEvent::lane("process_name", PID_OCCUPANCY, 0, "queue occupancy"),
+        ];
+        for site in TraceSite::ALL {
+            ev.push(ChromeEvent::lane(
+                "thread_name",
+                PID_PROTOCOL,
+                site.index(),
+                site.key(),
+            ));
+        }
+        // Protocol events: one instant per observed packet movement.
+        for e in &self.events {
+            ev.push(ChromeEvent {
+                cat: Some("packet".to_string()),
+                s: Some("t".to_string()),
+                ts: Some(e.cycle),
+                args: Args {
+                    site: Some(e.site.key().to_string()),
+                    src: Some(format!("{:?}", e.src)),
+                    dst: Some(format!("{:?}", e.dst)),
+                    size: Some(e.size),
+                    token: Some(e.token.map(|t| t.0)),
+                    ..Args::default()
+                },
+                ..ChromeEvent::new(e.kind, "i", PID_PROTOCOL, e.site.index())
+            });
+        }
+        // Occupancy series: counter events.
+        for s in &self.series {
+            for (i, &v) in s.samples.iter().enumerate() {
+                ev.push(ChromeEvent {
+                    ts: Some(i as u64 * s.interval_cycles),
+                    args: Args {
+                        value: Some(v),
+                        ..Args::default()
+                    },
+                    ..ChromeEvent::new(&s.name, "C", PID_OCCUPANCY, 0)
+                });
+            }
+        }
+        ChromeTrace::new(ev)
+    }
+
+    /// The report as a flat metrics document.
+    pub fn metrics(&self) -> Metrics {
+        Metrics {
+            schema_version: METRICS_SCHEMA_VERSION,
+            sample_interval: self.sample_interval,
+            txn: TxnCounts {
+                issued: self.txn_issued,
+                completed: self.txn_completed,
+                inflight: self.txn_inflight,
+                orphan_acks: self.orphan_acks,
+            },
+            latency_cycles: self
+                .latency
+                .iter()
+                .map(|s| (s.segment.clone(), s.latency))
+                .collect(),
+            occupancy: self
+                .series
+                .iter()
+                .map(|s| {
+                    let samples = Samples {
+                        interval_cycles: s.interval_cycles,
+                        samples: s.samples.clone(),
+                    };
+                    (s.name.clone(), samples)
+                })
+                .collect(),
+        }
+    }
+}
+
+impl PerfReport {
+    /// The self-profile as a Chrome trace lane: one span per stage, as
+    /// long as its estimated host wall time and laid end to end (a
+    /// one-frame flame view of where host time goes). Open it in Perfetto
+    /// beside the protocol trace.
+    pub fn chrome_trace(&self) -> ChromeTrace {
+        let mut ev = vec![
+            ChromeEvent::lane(
+                "process_name",
+                PID_PERF,
+                0,
+                "simulator perf (host wall time)",
+            ),
+            ChromeEvent::lane("thread_name", PID_PERF, 0, "stage wall time"),
+        ];
+        let mut ts = 0u64;
+        for s in &self.stages {
+            let dur = s.est_wall_ns / 1_000;
+            ev.push(ChromeEvent {
+                cat: Some("perf".to_string()),
+                ts: Some(ts),
+                dur: Some(dur),
+                args: Args {
+                    invocations: Some(s.invocations),
+                    gated: Some(s.gated),
+                    idle: Some(s.idle),
+                    moved: Some(s.moved),
+                    idle_frac: Some(s.idle_frac),
+                    wall_frac: Some(s.wall_frac),
+                    ..Args::default()
+                },
+                ..ChromeEvent::new(&s.name, "X", PID_PERF, 0)
+            });
+            ts += dur;
+        }
+        ChromeTrace::new(ev)
+    }
 }
 
 #[cfg(test)]
@@ -234,87 +315,70 @@ mod tests {
         o.report()
     }
 
-    /// A tiny structural JSON validator: verifies balanced braces/brackets
-    /// outside strings and legal string escapes — enough to catch exporter
-    /// formatting bugs without a parser dependency.
-    fn check_json_structure(s: &str) {
-        let mut depth: Vec<char> = Vec::new();
-        let mut in_str = false;
-        let mut escaped = false;
-        for c in s.chars() {
-            if in_str {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth.push(c),
-                '}' => assert_eq!(depth.pop(), Some('{'), "unbalanced brace"),
-                ']' => assert_eq!(depth.pop(), Some('['), "unbalanced bracket"),
-                _ => {}
-            }
-        }
-        assert!(!in_str, "unterminated string");
-        assert!(depth.is_empty(), "unclosed scopes: {depth:?}");
+    /// Serialize `doc` and parse the text back into its own type.
+    fn round_trip<T: Serialize + for<'de> Deserialize<'de>>(doc: &T) -> T {
+        let text = serde_json::to_string(doc).unwrap();
+        serde_json::from_str(&text).unwrap_or_else(|e| panic!("{e}: {text}"))
     }
 
     #[test]
     fn chrome_trace_is_structured_and_complete() {
-        let r = report_with_data();
-        let json = chrome_trace_json(&r);
-        check_json_structure(&json);
-        assert!(json.starts_with("{\"displayTimeUnit\""));
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("\"OffloadCmd\""));
-        assert!(json.contains("\"ph\":\"C\""), "counter events present");
-        assert!(json.contains("\"nsu_read_buf\""));
-        assert!(json.contains("\"token\":42"));
-    }
-
-    #[test]
-    fn metrics_json_is_structured_and_complete() {
-        let r = report_with_data();
-        let json = metrics_json(&r);
-        check_json_structure(&json);
-        assert!(json.contains("\"end_to_end\""));
-        assert!(json.contains("\"nsu_read_buf\""));
-        assert!(json.contains("\"issued\": 1"));
-        assert!(
-            json.contains(&format!("\"schema_version\": {METRICS_SCHEMA_VERSION}")),
-            "metrics document must be versioned"
+        let trace = round_trip(&report_with_data().chrome_trace());
+        assert_eq!(trace.displayTimeUnit, "ms");
+        let phases: Vec<&str> = trace.traceEvents.iter().map(|e| e.ph.as_str()).collect();
+        // Two process names, five site lanes, one packet, two samples.
+        assert_eq!(phases, ["M", "M", "M", "M", "M", "M", "M", "i", "C", "C"]);
+        let cmd = &trace.traceEvents[7];
+        assert_eq!(
+            (cmd.name.as_str(), cmd.ts, cmd.tid),
+            ("OffloadCmd", Some(5), 0)
+        );
+        assert_eq!(cmd.args.site.as_deref(), Some("sm_eject"));
+        assert_eq!(cmd.args.src.as_deref(), Some("Sm(3)"));
+        assert_eq!(cmd.args.token, Some(Some(42)));
+        let samples: Vec<(&str, Option<u64>, Option<f64>)> = trace.traceEvents[8..]
+            .iter()
+            .map(|e| (e.name.as_str(), e.ts, e.args.value))
+            .collect();
+        assert_eq!(
+            samples,
+            [
+                ("nsu_read_buf", Some(0), Some(4.0)),
+                ("nsu_read_buf", Some(512), Some(7.0))
+            ]
         );
     }
 
     #[test]
-    fn perf_trace_is_structured_and_complete() {
-        use super::super::perf::{Perf, PerfConfig, StageOutcome};
-        let mut cfg = PerfConfig::on();
-        cfg.heartbeat_interval = 2;
-        let mut p = Perf::new(cfg, vec!["tick:sms".into(), "edge:sm_out".into()]);
-        for now in 0..6u64 {
-            p.cycle_begin(now);
-            p.stage(0, StageOutcome::Ticked);
-            p.stage(1, StageOutcome::Routed(now % 2));
-        }
-        let json = perf_chrome_trace_json(&p.report(6));
-        check_json_structure(&json);
-        assert!(json.contains("\"edge:sm_out\""));
-        assert!(json.contains("\"ph\":\"X\""), "stage spans present");
-        assert!(json.contains("\"cycles_per_sec\""), "heartbeat counters");
-        assert!(json.contains("\"route_occupancy\""));
+    fn metrics_are_keyed_by_segment_and_series() {
+        let r = report_with_data();
+        let m = round_trip(&r.metrics());
+        assert_eq!(m, r.metrics());
+        assert_eq!(m.schema_version, METRICS_SCHEMA_VERSION);
+        assert_eq!((m.txn.issued, m.txn.inflight), (1, 1));
+        assert_eq!(m.latency_cycles.len(), r.latency.len());
+        assert_eq!(m.latency_cycles["end_to_end"].count, 0);
+        assert_eq!(m.occupancy["nsu_read_buf"].samples, [4.0, 7.0]);
     }
 
     #[test]
-    fn escapes_are_safe() {
-        assert_eq!(esc("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(esc("\n"), "\\u000a");
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(2.5), "2.5");
+    fn perf_trace_lays_one_span_per_stage() {
+        use super::super::perf::{Perf, StageOutcome};
+        let mut p = Perf::new(true, vec!["tick:sms".into(), "edge:sm_out".into()]);
+        for now in 0..6u64 {
+            p.cycle_begin();
+            p.stage(0, StageOutcome::Ticked);
+            p.stage(1, StageOutcome::Routed(now % 2));
+        }
+        let trace = round_trip(&p.report(6).chrome_trace());
+        let spans: Vec<&ChromeEvent> = trace.traceEvents.iter().filter(|e| e.ph == "X").collect();
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[1].name, "edge:sm_out");
+        assert_eq!(
+            (spans[1].args.invocations, spans[1].args.moved),
+            (Some(6), Some(3))
+        );
+        // Laid end to end.
+        assert_eq!(spans[1].ts, Some(spans[0].dur.unwrap()));
     }
 }

@@ -9,12 +9,12 @@
 //!   `OffloadToken` (CMD issue → RDF drain → NSU execute → ACK return);
 //! * [`EventRing`] — the single protocol-event stream (also renders the
 //!   Fig. 2 walkthrough, [`EventRing::render_instance`]);
-//! * [`ObsReport`] — the serializable outcome, with Chrome trace-event JSON
-//!   ([`ObsReport::chrome_trace_json`], loadable in Perfetto) and a flat
-//!   metrics document ([`ObsReport::metrics_json`]);
+//! * [`ObsReport`] — the serializable outcome, with a Chrome trace
+//!   ([`ObsReport::chrome_trace`], loadable in Perfetto) and a flat
+//!   metrics document ([`ObsReport::metrics`]), both serde types;
 //! * [`perf`] — the simulator's *self*-profile: per-pipeline-stage host
-//!   wall-time and idle-tick attribution, throughput heartbeats, and its
-//!   own Perfetto lane (`NDP_PERF`).
+//!   wall-time and idle-tick attribution, and its own Perfetto lane
+//!   (`NDP_PERF`).
 //!
 //! Observation is one flag (`ndp_core::RunOptions::obs`), **off by
 //! default**: a disabled [`Obs`] costs one branch per hook, records
@@ -28,13 +28,14 @@ pub mod perf;
 pub mod timeseries;
 pub mod txn;
 
+pub use chrome::{ChromeTrace, Metrics};
 pub use event::{EventRing, TraceEvent, TraceSite};
 pub use histogram::Histogram;
-pub use perf::{Perf, PerfConfig, PerfReport, StageOutcome, StagePerf};
+pub use perf::{Perf, PerfReport, StageOutcome, StagePerf};
 pub use timeseries::TimeSeries;
 pub use txn::TxnTracker;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::ids::Cycle;
 use crate::packet::{Packet, PacketKind};
@@ -181,7 +182,7 @@ crate::snap_state!(Obs {
 });
 
 /// Percentile summary of one [`Histogram`] (all zero when empty).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct HistogramSummary {
     pub count: u64,
     pub mean: f64,
@@ -245,16 +246,6 @@ impl ObsReport {
 
     pub fn find_series(&self, name: &str) -> Option<&SeriesReport> {
         self.series.iter().find(|s| s.name == name)
-    }
-
-    /// Chrome trace-event JSON (open in Perfetto / `chrome://tracing`).
-    pub fn chrome_trace_json(&self) -> String {
-        chrome::chrome_trace_json(self)
-    }
-
-    /// Flat metrics document (hand-rolled JSON; no serializer required).
-    pub fn metrics_json(&self) -> String {
-        chrome::metrics_json(self)
     }
 
     /// Human-readable summary for terminal output.

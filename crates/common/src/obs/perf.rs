@@ -9,32 +9,26 @@
 //!
 //! * `invocations` — the stage ran (its clock gate was open);
 //! * `gated` — the stage was skipped by its clock gate;
-//! * `idle` — a routing stage ran but moved **zero** packets (the direct
-//!   evidence for the event-driven/cycle-skipping rework: an idle tick is
-//!   pure overhead an event queue would never pay);
+//! * `skipped` — the quiescence layer proved the stage workless;
+//! * `idle` — a routing stage ran but moved **zero** packets (an idle tick
+//!   is pure overhead the event-driven core tries never to pay);
 //! * `moved` — packets the stage delivered;
-//! * estimated wall time, from a **strided timer**: only every Nth
-//!   pipeline pass is timestamped (21 `Instant::now` calls on a sampled
-//!   pass, zero otherwise), and the sampled time is scaled back up by the
-//!   observed sampling ratio. The hot loop is never timestamped every
-//!   cycle.
+//! * estimated wall time, from a **strided timer**: only every
+//!   [`TIMER_STRIDE`]th pipeline pass is timestamped (21 `Instant::now`
+//!   calls on a sampled pass, zero otherwise), and the sampled time is
+//!   scaled back up by the observed sampling ratio. The hot loop is never
+//!   timestamped every cycle.
 //!
-//! A periodic **heartbeat** snapshots throughput (cycles/sec since the
-//! previous beat), the current sim cycle, and routing-stage occupancy —
-//! the progress stream a future `ndp-serve` can forward to clients.
-//!
-//! Everything is off by default and *read-only*: enabling profiling never
-//! changes simulated behaviour, and wall-clock readings never feed back
-//! into the model. Because wall times are host-dependent, the perf report
-//! is excluded from `RunResult`'s `Debug` rendering so golden-determinism
-//! byte comparisons are unaffected (see `ndp-core::result`).
+//! Profiling is one flag (`ndp_core::RunOptions::perf`), off by default,
+//! and *read-only*: enabling it never changes simulated behaviour, and
+//! wall-clock readings never feed back into the model. Because wall times
+//! are host-dependent, the perf report is excluded from `RunResult`'s
+//! `Debug` rendering so golden-determinism byte comparisons are unaffected
+//! (see `ndp-core::result`).
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-
-use crate::ids::Cycle;
 
 /// Version stamp of [`PerfReport`]'s serialized form, so downstream
 /// tooling (dashboards, `BENCH_core.json` diffing) can evolve. v2 added
@@ -46,42 +40,12 @@ use crate::ids::Cycle;
 /// work each invoked cycle actually holds. v4 added per-SM
 /// `sm_structural_retries` and `sm_memo_answers`: issue attempts a full
 /// MSHR table or output queue refused, and how many of those the
-/// blocked-verdict memo answered without re-running the issue path.
-pub const PERF_SCHEMA_VERSION: u32 = 4;
+/// blocked-verdict memo answered without re-running the issue path. v5
+/// dropped `heartbeats`: no run reached their 2^20-cycle cadence.
+pub const PERF_SCHEMA_VERSION: u32 = 5;
 
-/// Profiling knobs. `Default` is fully disabled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PerfConfig {
-    pub enabled: bool,
-    /// Pipeline passes between wall-clock-sampled passes (the strided
-    /// timer). `1` timestamps every pass; larger strides cost less.
-    pub stride: u64,
-    /// Simulated cycles between heartbeat snapshots (`0` disables).
-    pub heartbeat_interval: u64,
-    /// Max retained heartbeats (oldest are dropped).
-    pub heartbeat_cap: usize,
-}
-
-impl Default for PerfConfig {
-    fn default() -> Self {
-        PerfConfig {
-            enabled: false,
-            stride: 64,
-            heartbeat_interval: 1 << 20,
-            heartbeat_cap: 256,
-        }
-    }
-}
-
-impl PerfConfig {
-    /// Enabled with default stride and heartbeat cadence.
-    pub fn on() -> Self {
-        PerfConfig {
-            enabled: true,
-            ..PerfConfig::default()
-        }
-    }
-}
+/// Pipeline passes between wall-clock-sampled passes (the strided timer).
+pub const TIMER_STRIDE: u64 = 64;
 
 /// What one pipeline stage did in one cycle, reported by the fabric to
 /// the profiler (`FabricCtx::stage_done`).
@@ -117,25 +81,10 @@ struct StageCounters {
     timed: u64,
 }
 
-/// One periodic telemetry snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Heartbeat {
-    /// Simulated cycle at which the snapshot was taken.
-    pub cycle: u64,
-    /// Host wall nanoseconds since profiling started.
-    pub wall_ns: u64,
-    /// Simulated cycles per host second since the previous heartbeat.
-    pub cycles_per_sec: f64,
-    /// Fraction of routing-stage invocations since the previous heartbeat
-    /// that moved at least one packet (1.0 = every polled edge had work;
-    /// low values are the cycle-skipping headroom).
-    pub route_occupancy: f64,
-}
-
 /// The profiler. One branch per hook when disabled (the `Default`).
 #[derive(Debug, Clone, Default)]
 pub struct Perf {
-    cfg: PerfConfig,
+    on: bool,
     names: Vec<String>,
     stages: Vec<StageCounters>,
     /// Pipeline passes seen (drives the strided timer).
@@ -146,54 +95,39 @@ pub struct Perf {
     start: Option<Instant>,
     /// Timestamp of the previous stage boundary within a sampled pass.
     mark: Option<Instant>,
-    heartbeats: VecDeque<Heartbeat>,
-    /// Counter snapshot at the previous heartbeat: (cycle, wall_ns,
-    /// idle, routed).
-    hb_prev: (u64, u64, u64, u64),
-    /// Next cycle at (or after) which a heartbeat is due. A watermark
-    /// rather than a `now % interval` test: next-event jumps can leap
-    /// straight over a boundary, and the beat must then fire on the first
-    /// executed cycle past it.
-    next_hb: u64,
 }
 
 impl Perf {
     /// A profiler for a pipeline whose stages carry the given display
     /// names (index-aligned with the fabric's stage list).
-    pub fn new(cfg: PerfConfig, stage_names: Vec<String>) -> Self {
+    pub fn new(on: bool, stage_names: Vec<String>) -> Self {
         let stages = vec![StageCounters::default(); stage_names.len()];
         Perf {
-            cfg,
+            on,
             names: stage_names,
             stages,
-            next_hb: cfg.heartbeat_interval,
             ..Perf::default()
         }
     }
 
     #[inline]
     pub fn is_on(&self) -> bool {
-        self.cfg.enabled
+        self.on
     }
 
     /// Start-of-pipeline-pass hook: decides whether this pass is
-    /// wall-clock sampled and takes a heartbeat when one is due. Call
-    /// once per simulated cycle, before the fabric runs.
+    /// wall-clock sampled. Call once per simulated cycle, before the
+    /// fabric runs.
     #[inline]
-    pub fn cycle_begin(&mut self, now: Cycle) {
-        if !self.cfg.enabled {
+    pub fn cycle_begin(&mut self) {
+        if !self.on {
             return;
         }
-        let start = *self.start.get_or_insert_with(Instant::now);
-        self.sampling = self.passes.is_multiple_of(self.cfg.stride.max(1));
+        self.start.get_or_insert_with(Instant::now);
+        self.sampling = self.passes.is_multiple_of(TIMER_STRIDE);
         self.passes += 1;
         if self.sampling {
             self.mark = Some(Instant::now());
-        }
-        if self.cfg.heartbeat_interval > 0 && now >= self.next_hb {
-            self.heartbeat(now, start);
-            // Advance past `now` to the next interval boundary.
-            self.next_hb = (now / self.cfg.heartbeat_interval + 1) * self.cfg.heartbeat_interval;
         }
     }
 
@@ -201,7 +135,7 @@ impl Perf {
     /// time only on sampled passes.
     #[inline]
     pub fn stage(&mut self, idx: usize, outcome: StageOutcome) {
-        if !self.cfg.enabled {
+        if !self.on {
             return;
         }
         let c = &mut self.stages[idx];
@@ -245,42 +179,12 @@ impl Perf {
     /// `invocations + gated + skipped == cycles` exact across jumps.
     #[inline]
     pub fn jump(&mut self, idx: usize, gated: u64, skipped: u64) {
-        if !self.cfg.enabled {
+        if !self.on {
             return;
         }
         let c = &mut self.stages[idx];
         c.gated += gated;
         c.skipped += skipped;
-    }
-
-    fn heartbeat(&mut self, now: Cycle, start: Instant) {
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        let idle: u64 = self.stages.iter().map(|c| c.idle).sum();
-        let routed: u64 = self.stages.iter().map(|c| c.routed).sum();
-        let (p_cycle, p_wall, p_idle, p_routed) = self.hb_prev;
-        let d_wall = wall_ns.saturating_sub(p_wall);
-        let cycles_per_sec = if d_wall > 0 {
-            (now - p_cycle) as f64 * 1e9 / d_wall as f64
-        } else {
-            0.0
-        };
-        let d_routed = routed - p_routed;
-        let route_occupancy = if d_routed > 0 {
-            1.0 - (idle - p_idle) as f64 / d_routed as f64
-        } else {
-            0.0
-        };
-        let hb = Heartbeat {
-            cycle: now,
-            wall_ns,
-            cycles_per_sec,
-            route_occupancy,
-        };
-        if self.heartbeats.len() >= self.cfg.heartbeat_cap.max(1) {
-            self.heartbeats.pop_front();
-        }
-        self.heartbeats.push_back(hb);
-        self.hb_prev = (now, wall_ns, idle, routed);
     }
 
     /// Fold the live counters into a serializable report. `cycles` is the
@@ -342,10 +246,9 @@ impl Perf {
             } else {
                 0.0
             },
-            sample_stride: self.cfg.stride,
-            timed_passes: self.passes.div_ceil(self.cfg.stride.max(1)),
+            sample_stride: TIMER_STRIDE,
+            timed_passes: self.passes.div_ceil(TIMER_STRIDE),
             stages,
-            heartbeats: self.heartbeats.iter().copied().collect(),
             sm_ready_occupancy: Vec::new(),
             sm_structural_retries: Vec::new(),
             sm_memo_answers: Vec::new(),
@@ -394,7 +297,6 @@ pub struct PerfReport {
     /// Pipeline passes that were wall-clock sampled.
     pub timed_passes: u64,
     pub stages: Vec<StagePerf>,
-    pub heartbeats: Vec<Heartbeat>,
     /// Mean ready-set size per SM over its invoked issue cycles (index =
     /// SM id): how many warps were actual issue candidates when the
     /// scheduler ran. Filled by the simulator core after the run (the
@@ -416,12 +318,6 @@ pub struct PerfReport {
 impl PerfReport {
     pub fn stage(&self, name: &str) -> Option<&StagePerf> {
         self.stages.iter().find(|s| s.name == name)
-    }
-
-    /// Chrome trace-event JSON of the perf lane (open in Perfetto
-    /// alongside the protocol trace).
-    pub fn chrome_trace_json(&self) -> String {
-        super::chrome::perf_chrome_trace_json(self)
     }
 
     /// Human-readable per-stage attribution table.
@@ -486,16 +382,6 @@ impl PerfReport {
                 }
             ));
         }
-        if let Some(hb) = self.heartbeats.last() {
-            out.push_str(&format!(
-                "last heartbeat: cycle {}, {:.0} cycles/s, route occupancy {:.3} \
-                 ({} heartbeats retained)\n",
-                hb.cycle,
-                hb.cycles_per_sec,
-                hb.route_occupancy,
-                self.heartbeats.len()
-            ));
-        }
         out
     }
 }
@@ -504,9 +390,9 @@ impl PerfReport {
 mod tests {
     use super::*;
 
-    fn perf(cfg: PerfConfig) -> Perf {
+    fn perf() -> Perf {
         Perf::new(
-            cfg,
+            true,
             vec![
                 "tick:toy".to_string(),
                 "edge:toy".to_string(),
@@ -519,7 +405,7 @@ mod tests {
     fn disabled_perf_records_nothing() {
         let mut p = Perf::default();
         assert!(!p.is_on());
-        p.cycle_begin(0);
+        p.cycle_begin();
         p.stage(0, StageOutcome::Routed(3));
         let r = p.report(100);
         assert!(r.stages.is_empty());
@@ -530,14 +416,14 @@ mod tests {
     #[test]
     fn idle_tick_accounting() {
         // A stage that moves nothing must count as idle, not active.
-        let mut p = perf(PerfConfig::on());
-        p.cycle_begin(0);
+        let mut p = perf();
+        p.cycle_begin();
         p.stage(1, StageOutcome::Routed(0));
-        p.cycle_begin(1);
+        p.cycle_begin();
         p.stage(1, StageOutcome::Routed(4));
-        p.cycle_begin(2);
+        p.cycle_begin();
         p.stage(1, StageOutcome::Gated);
-        p.cycle_begin(3);
+        p.cycle_begin();
         p.stage(0, StageOutcome::Ticked);
         let r = p.report(4);
         let edge = r.stage("edge:toy").unwrap();
@@ -555,51 +441,32 @@ mod tests {
 
     #[test]
     fn strided_timer_samples_every_nth_pass() {
-        let mut cfg = PerfConfig::on();
-        cfg.stride = 4;
-        let mut p = perf(cfg);
-        for now in 0..8u64 {
-            p.cycle_begin(now);
+        let mut p = perf();
+        let passes = 2 * TIMER_STRIDE;
+        for _ in 0..passes {
+            p.cycle_begin();
             p.stage(0, StageOutcome::Ticked);
         }
-        // Passes 0 and 4 were sampled.
+        // Passes 0 and TIMER_STRIDE were sampled.
         assert_eq!(p.stages[0].timed, 2);
-        assert_eq!(p.stages[0].invocations, 8);
-        let r = p.report(8);
+        assert_eq!(p.stages[0].invocations, passes);
+        let r = p.report(passes);
+        assert_eq!((r.sample_stride, r.timed_passes), (TIMER_STRIDE, 2));
         let s = r.stage("tick:toy").unwrap();
-        // The estimate is scaled by the realized sampling ratio (8/2).
-        assert!(s.est_wall_ns >= 4 * p.stages[0].sampled_wall_ns);
-    }
-
-    #[test]
-    fn heartbeats_snapshot_throughput_and_occupancy() {
-        let mut cfg = PerfConfig::on();
-        cfg.heartbeat_interval = 10;
-        cfg.heartbeat_cap = 2;
-        let mut p = perf(cfg);
-        for now in 0..35u64 {
-            p.cycle_begin(now);
-            // Edge stage busy 1 cycle in 5.
-            p.stage(1, StageOutcome::Routed(u64::from(now % 5 == 0)));
-        }
-        let r = p.report(35);
-        assert_eq!(r.heartbeats.len(), 2, "cap drops the oldest beat");
-        let hb = r.heartbeats.last().unwrap();
-        assert_eq!(hb.cycle, 30);
-        assert!(hb.cycles_per_sec > 0.0);
-        assert!(hb.route_occupancy > 0.0 && hb.route_occupancy < 0.5);
+        // The estimate is scaled by the realized sampling ratio.
+        assert!(s.est_wall_ns >= TIMER_STRIDE * p.stages[0].sampled_wall_ns);
     }
 
     #[test]
     fn skipped_cycles_account_exactly() {
         // Per-stage skips and next-event jumps both land in `skipped`, and
         // the identity invocations + gated + skipped == cycles holds.
-        let mut p = perf(PerfConfig::on());
-        p.cycle_begin(0);
+        let mut p = perf();
+        p.cycle_begin();
         p.stage(0, StageOutcome::Ticked);
         p.stage(1, StageOutcome::Routed(2));
         p.stage(2, StageOutcome::Gated);
-        p.cycle_begin(1);
+        p.cycle_begin();
         p.stage(0, StageOutcome::Skipped);
         p.stage(1, StageOutcome::Skipped);
         p.stage(2, StageOutcome::Gated);
@@ -628,24 +495,9 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_fires_after_a_jump_over_the_boundary() {
-        let mut cfg = PerfConfig::on();
-        cfg.heartbeat_interval = 10;
-        let mut p = perf(cfg);
-        p.cycle_begin(0);
-        // Jump straight over the cycle-10 boundary; the first executed
-        // cycle after it must carry the beat.
-        p.cycle_begin(17);
-        p.cycle_begin(18);
-        let r = p.report(19);
-        assert_eq!(r.heartbeats.len(), 1);
-        assert_eq!(r.heartbeats[0].cycle, 17);
-    }
-
-    #[test]
     fn report_is_versioned_and_serializable() {
-        let mut p = perf(PerfConfig::on());
-        p.cycle_begin(0);
+        let mut p = perf();
+        p.cycle_begin();
         p.stage(1, StageOutcome::Routed(2));
         let mut r = p.report(1);
         r.sm_ready_occupancy = vec![1.5, 0.25];
@@ -653,12 +505,8 @@ mod tests {
         r.sm_memo_answers = vec![30, 0];
         assert_eq!(r.schema_version, PERF_SCHEMA_VERSION);
         let json = serde_json::to_string(&r).unwrap();
-        assert!(json.contains("\"schema_version\":4"));
         let back: PerfReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.stages.len(), 3);
-        assert_eq!(back.sm_ready_occupancy, vec![1.5, 0.25]);
-        assert_eq!(back.sm_structural_retries, vec![40, 0]);
-        assert_eq!(back.sm_memo_answers, vec![30, 0]);
+        assert_eq!(back, r);
         let table = r.table_text();
         assert!(table.contains("ready-set occupancy"), "{table}");
         assert!(

@@ -59,8 +59,9 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"NDPCKPT\0");
 /// (the clock section lost its skip byte), because a restore takes it from
 /// its `RunOptions`; and the observability section lost its three caps,
 /// which became constants, leaving one on/off flag. A v4 image must fail
-/// on its schema.
-pub const SCHEMA_VERSION: u32 = 5;
+/// on its schema. v6: every link's statistics lost their per-packet-kind
+/// byte array (nothing read it), so a v5 image must fail on its schema.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// File extension used for per-workload checkpoints when the checkpoint
 /// target or resume source names a directory.

@@ -14,7 +14,6 @@ use std::sync::OnceLock;
 use ndp_common::env::{self, EnvError};
 use ndp_common::fault::FaultConfig;
 use ndp_common::ids::Cycle;
-use ndp_common::obs::PerfConfig;
 use ndp_common::watchdog::DEFAULT_WATCHDOG_CYCLES;
 
 /// Everything about a run that is not the machine.
@@ -39,8 +38,9 @@ pub struct RunOptions {
     /// The observability layer: latency histograms, occupancy series and
     /// the event ring (`RunResult::obs`).
     pub obs: bool,
-    /// Perf self-profiling (`NDP_PERF=1` sets `perf.enabled`).
-    pub perf: PerfConfig,
+    /// Perf self-profiling: the per-stage host-time table
+    /// (`RunResult::perf`; `NDP_PERF`).
+    pub perf: bool,
     /// Periodic checkpoints: the cadence in cycles and the target, a file
     /// or a directory of per-cell files (`NDP_CHECKPOINT_EVERY` and
     /// `NDP_CHECKPOINT_PATH`).
@@ -61,7 +61,7 @@ impl Default for RunOptions {
             watchdog: Some(DEFAULT_WATCHDOG_CYCLES),
             faults: None,
             obs: false,
-            perf: PerfConfig::default(),
+            perf: false,
             checkpoint: None,
             stall_dump: None,
             resume: None,
@@ -102,10 +102,7 @@ impl RunOptions {
         Ok(RunOptions {
             skip: !env::flag(&get, "NDP_NO_SKIP")?.unwrap_or(false),
             deep_invariants: env::flag(&get, "NDP_DEEP_INVARIANTS")?.unwrap_or(d.deep_invariants),
-            perf: PerfConfig {
-                enabled: env::flag(&get, "NDP_PERF")?.unwrap_or(false),
-                ..d.perf
-            },
+            perf: env::flag(&get, "NDP_PERF")?.unwrap_or(d.perf),
             checkpoint,
             stall_dump: env::path(&get, "NDP_STALL_DUMP"),
             resume: env::path(&get, "NDP_RESUME"),
@@ -144,7 +141,7 @@ mod tests {
                 &[("NDP_DEEP_INVARIANTS", "0")],
                 with(|o| o.deep_invariants = false),
             ),
-            (&[("NDP_PERF", "true")], with(|o| o.perf = PerfConfig::on())),
+            (&[("NDP_PERF", "true")], with(|o| o.perf = true)),
             (
                 &[("NDP_STALL_DUMP", " d ")],
                 with(|o| o.stall_dump = Some("d".into())),

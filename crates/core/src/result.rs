@@ -49,9 +49,8 @@ pub struct RunResult {
     /// Observability report (latency histograms, occupancy time-series,
     /// protocol events) — `Some` only when observability was enabled.
     pub obs: Option<ObsReport>,
-    /// Simulator self-profile (per-stage wall-time/idle attribution,
-    /// throughput heartbeats) — `Some` only when `RunOptions::perf`
-    /// armed profiling. Never rendered by `Debug`: wall times are host-dependent,
+    /// Simulator self-profile (per-stage wall-time/idle attribution) —
+    /// `Some` only when `RunOptions::perf` armed profiling. Never rendered by `Debug`: wall times are host-dependent,
     /// and golden byte comparisons must hold with profiling on.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub perf: Option<PerfReport>,

@@ -72,8 +72,8 @@ pub struct System {
     /// event ring that also renders Fig. 2 walkthroughs); off unless
     /// [`RunOptions::obs`].
     pub obs: Obs,
-    /// Perf self-profiling layer (per-stage wall-time/idle attribution,
-    /// throughput heartbeats); off unless [`RunOptions::perf`] arms it.
+    /// Perf self-profiling layer (per-stage wall-time/idle attribution);
+    /// off unless [`RunOptions::perf`] arms it.
     /// Read-only: it never changes simulated behaviour.
     pub perf: Perf,
     /// Protocol-invariant engine, fed from the fabric's observation site.
@@ -227,7 +227,7 @@ impl System {
     /// protocol violation detected during it.
     pub fn try_tick(&mut self) -> Result<(), SimError> {
         let now = self.now;
-        self.perf.cycle_begin(now);
+        self.perf.cycle_begin();
         Fabric { stages: PIPELINE }.tick(self, now)?;
         self.now += 1;
         // Stack interiors tick through the infallible `Component` trait;
@@ -310,8 +310,7 @@ impl System {
             && self.nsus.iter().all(|n| !n.busy())
     }
 
-    /// The shared main loop of [`System::run`] and
-    /// [`System::run_with_kind_stats`] (they used to duplicate it).
+    /// The main loop of [`System::run`].
     ///
     /// Checks, on the same 256-cycle boundary the drain check always ran
     /// on: recorded invariant violations (surfaced as `Err`), completion,
@@ -477,22 +476,6 @@ impl System {
             });
         }
         Ok(())
-    }
-
-    /// Like [`System::run`] but also returns per-packet-kind GPU-link byte
-    /// totals (diagnostics).
-    pub fn run_with_kind_stats(
-        mut self,
-        max_cycles: u64,
-    ) -> Result<(RunResult, [u64; PacketKind::COUNT]), SimError> {
-        let out = self.run_inner(max_cycles)?;
-        let mut kinds = [0u64; PacketKind::COUNT];
-        for l in self.up.iter().chain(self.down.iter()) {
-            for (total, b) in kinds.iter_mut().zip(l.stats.kind_bytes.iter()) {
-                *total += b;
-            }
-        }
-        Ok((self.collect(out), kinds))
     }
 
     /// Run to completion (or the safety cap) and collect results.

@@ -51,7 +51,7 @@ pub mod prelude {
     pub use ndp_common::config::{OffloadPolicy, SystemConfig};
     pub use ndp_common::error::SimError;
     pub use ndp_common::fault::{FaultConfig, FaultStats};
-    pub use ndp_common::obs::{Obs, ObsReport, PerfConfig, PerfReport};
+    pub use ndp_common::obs::{Obs, ObsReport, PerfReport};
     pub use ndp_common::watchdog::StallReport;
     pub use ndp_compiler::{compile, CompilerConfig};
     pub use ndp_core::experiments::{run_matrix, run_workload};

@@ -327,8 +327,8 @@ fn truncations_are_rejected() {
 }
 
 /// A future or past schema version is refused by name, before any payload
-/// decoding happens: a previous-version image (v4, whose clock section
-/// still carried the execution mode) is not misdecoded.
+/// decoding happens: a previous-version image (v5, whose link statistics
+/// still carried a per-packet-kind byte array) is not misdecoded.
 #[test]
 fn schema_version_bump_is_rejected() {
     let cfg = small_ndp();

@@ -125,7 +125,7 @@ fn fig7_small_matches_golden_with_every_option_on() {
         skip: false,
         deep_invariants: true,
         obs: true,
-        perf: PerfConfig::on(),
+        perf: true,
         checkpoint: Some((NonZeroU64::new(512).unwrap(), ckpt.clone())),
         stall_dump: Some(dir.join("stalls")),
         ..RunOptions::default()

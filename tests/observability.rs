@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use standardized_ndp::common::obs::{ChromeTrace, Metrics, TraceSite};
 use standardized_ndp::prelude::*;
 
 const MAX: u64 = 30_000_000;
@@ -93,19 +94,32 @@ fn exporters_emit_wellformed_documents() {
     let r = system(Workload::Vadd, true).run(MAX).unwrap();
     let obs = r.obs.as_ref().expect("report present");
 
-    let trace = obs.chrome_trace_json();
-    assert!(trace.starts_with('{') && trace.trim_end().ends_with('}'));
-    assert!(trace.contains("\"traceEvents\""));
-    assert!(trace.contains("\"ph\":\"M\""), "metadata events");
-    assert!(trace.contains("\"ph\":\"i\""), "packet instants");
-    assert!(trace.contains("\"ph\":\"C\""), "occupancy counters");
-    assert!(trace.contains("OffloadCmd") && trace.contains("OffloadAck"));
+    let json = serde_json::to_string(&obs.chrome_trace()).unwrap();
+    let trace: ChromeTrace = serde_json::from_str(&json).expect("trace parses");
+    let count = |ph: &str| trace.traceEvents.iter().filter(|e| e.ph == ph).count();
+    assert_eq!(count("M"), 2 + TraceSite::ALL.len(), "lane names");
+    assert_eq!(count("i"), obs.events.len(), "one instant per packet");
+    let samples: usize = obs.series.iter().map(|s| s.samples.len()).sum();
+    assert_eq!(count("C"), samples, "one counter per occupancy sample");
+    for kind in ["OffloadCmd", "OffloadAck"] {
+        assert!(
+            trace.traceEvents.iter().any(|e| e.name == kind),
+            "{kind} instant"
+        );
+    }
 
-    let metrics = obs.metrics_json();
-    assert!(metrics.contains("\"latency_cycles\""));
-    assert!(metrics.contains("\"end_to_end\""));
-    assert!(metrics.contains("\"occupancy\""));
-    assert!(metrics.contains("\"sm_ndp_pending\""));
+    let json = serde_json::to_string_pretty(&obs.metrics()).unwrap();
+    let metrics: Metrics = serde_json::from_str(&json).expect("metrics parse");
+    assert_eq!(metrics, obs.metrics());
+    assert_eq!(metrics.txn.completed, obs.txn_completed);
+    assert_eq!(
+        metrics.latency_cycles["end_to_end"],
+        *obs.segment("end_to_end").expect("segment")
+    );
+    assert_eq!(
+        metrics.occupancy["sm_ndp_pending"].samples,
+        obs.find_series("sm_ndp_pending").expect("series").samples
+    );
 
     let text = obs.summary_text();
     assert!(text.contains("end_to_end") && text.contains("sm_ndp_pending"));
