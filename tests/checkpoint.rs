@@ -180,7 +180,8 @@ fn resume_is_byte_identical_under_seeded_faults() {
 }
 
 /// The baseline (NDP-off) configuration checkpoints too — no NSU state in
-/// flight, but SM/cache/DRAM state still round-trips.
+/// flight, but SM/cache/DRAM state still round-trips, also with warps
+/// blocked on full MSHR tables.
 #[test]
 fn resume_is_byte_identical_for_baseline_config() {
     let mut cfg = SystemConfig::baseline();
@@ -188,6 +189,50 @@ fn resume_is_byte_identical_for_baseline_config() {
     let (gold, cycles) = golden(&cfg, Workload::Vadd, Mode::Event, None);
     let modes = (Mode::Event, Mode::Event);
     assert_resume_equivalent(&cfg, Workload::Vadd, modes, None, cycles / 2, &gold);
+
+    // No VADD warp ever waits on an MSHR. BFS and FWT at the `mshr_stalls`
+    // golden's scale do: snapshot each where some warp's current load was
+    // refused by a full MSHR table, so the image carries blocked warps'
+    // wake cycles and booked stall counts.
+    let scale = Scale {
+        warps: 256,
+        iters: 2,
+    };
+    let opts = opts(Mode::Event, None);
+    for w in [Workload::Bfs, Workload::Fwt] {
+        let kernel = Arc::new(compile(&w.build(&scale), &CompilerConfig::default()));
+        let build = || System::build(cfg.clone(), kernel.clone(), &opts).expect("builds");
+        let r = build().run(MAX).expect("golden run clean");
+        assert!(r.issue.exec_unit_busy > 0, "{}: no MSHR stalls", w.name());
+        let gold = format!("{r:#?}");
+        for quarter in 1..=3 {
+            let mut sys = build();
+            let mut at = r.cycles * quarter / 4;
+            sys.run_until(at).expect("clean prefix");
+            while sys.mshr_blocked_warps() == 0 && at < r.cycles {
+                at += 1;
+                sys.run_until(at).expect("clean prefix");
+            }
+            assert!(
+                sys.mshr_blocked_warps() > 0,
+                "{}: no MSHR-blocked warp after cycle {}",
+                w.name(),
+                r.cycles * quarter / 4
+            );
+            let bytes = sys.snapshot();
+            drop(sys);
+            let resumed = System::restore(cfg.clone(), kernel.clone(), &bytes, &opts)
+                .expect("pristine checkpoint accepted")
+                .run(MAX)
+                .expect("no violation after resume");
+            assert_eq!(
+                format!("{resumed:#?}"),
+                gold,
+                "{}: snapshot at cycle {at} with MSHR-blocked warps diverged",
+                w.name()
+            );
+        }
+    }
 }
 
 /// The observability layer is part of the result (`RunResult::obs`), so it

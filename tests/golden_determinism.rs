@@ -1,5 +1,8 @@
-//! Golden determinism test: a small fig7-scale sweep must produce exactly
-//! the committed `RunResult`s, field for field.
+//! Golden determinism tests: two small sweeps must produce exactly the
+//! committed `RunResult`s, field for field. `fig7_small` covers every
+//! configuration of the speedup figure on three kernels; `mshr_stalls`
+//! covers all ten kernels on the Baseline GPU at a scale where most of
+//! them stall on full L1 MSHR tables (nonzero `exec_unit_busy`).
 //!
 //! The simulator is a deterministic cycle-stepped model — same program,
 //! same config, same outputs, on every host. This test pins that contract
@@ -11,7 +14,7 @@
 //!
 //! ```text
 //! NDP_BLESS=1 cargo test --test golden_determinism
-//! git diff tests/golden/fig7_small.txt   # review before committing!
+//! git diff tests/golden/   # review before committing!
 //! ```
 
 use std::num::NonZeroU64;
@@ -23,11 +26,32 @@ use standardized_ndp::prelude::*;
 
 const MAX: u64 = 30_000_000;
 
-fn golden_path() -> PathBuf {
+fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("fig7_small.txt")
+        .join(format!("{name}.txt"))
+}
+
+/// Run `cfg` on `w` at `scale` under `opts` and render the result the
+/// way the golden files hold it. `check` sees the result first.
+fn cell(
+    name: &str,
+    cfg: SystemConfig,
+    w: Workload,
+    scale: &Scale,
+    opts: &RunOptions,
+    check: &impl Fn(&str, &mut RunResult),
+) -> String {
+    let p = w.build(scale);
+    let kernel = Arc::new(compile(&p, &CompilerConfig::default()));
+    let mut r = System::build(cfg, kernel, opts)
+        .expect("builtin workload builds")
+        .run(MAX)
+        .expect("no protocol violation");
+    assert!(!r.timed_out, "{name} timed out");
+    check(name, &mut r);
+    format!("=== {name} ===\n{r:#?}\n")
 }
 
 /// The fig7 sweep at test scale: every config column of the speedup figure
@@ -44,20 +68,32 @@ fn sweep_with(opts: &RunOptions, check: impl Fn(&str, &mut RunResult)) -> String
         for w in [Workload::Vadd, Workload::Bfs, Workload::Bprop] {
             let mut cfg = cfg.clone();
             cfg.gpu.num_sms = 8;
-            let p = w.build(&Scale {
+            let name = format!("{cname} / {}", w.name());
+            let scale = Scale {
                 warps: 64,
                 iters: 4,
-            });
-            let kernel = Arc::new(compile(&p, &CompilerConfig::default()));
-            let mut r = System::build(cfg, kernel, opts)
-                .expect("builtin workload builds")
-                .run(MAX)
-                .expect("no protocol violation");
-            let name = format!("{cname} / {}", w.name());
-            assert!(!r.timed_out, "{name} timed out");
-            check(&name, &mut r);
-            out.push_str(&format!("=== {name} ===\n{r:#?}\n"));
+            };
+            out.push_str(&cell(&name, cfg, w, &scale, opts, &check));
         }
+    }
+    out
+}
+
+/// All ten kernels on the 8-SM Baseline GPU at 256 warps × 2 iterations:
+/// enough warps per SM that irregular loads fill the L1 MSHR tables, so
+/// the MSHR-blocked retry path decides `exec_unit_busy` here.
+fn mshr_sweep() -> String {
+    let opts = RunOptions::from_env().expect("valid NDP_* environment");
+    let scale = Scale {
+        warps: 256,
+        iters: 2,
+    };
+    let mut out = String::new();
+    for w in WORKLOADS {
+        let mut cfg = SystemConfig::baseline();
+        cfg.gpu.num_sms = 8;
+        let name = format!("baseline / {}", w.name());
+        out.push_str(&cell(&name, cfg, w, &scale, &opts, &|_, _| {}));
     }
     out
 }
@@ -69,8 +105,22 @@ fn sweep() -> String {
     sweep_with(&opts, |_, _| {})
 }
 
-fn assert_matches_golden(got: &str) {
-    let path = golden_path();
+/// Compare `got` with the committed golden `name`, or rewrite the golden
+/// under `NDP_BLESS=1`.
+fn check_golden(name: &str, got: &str) {
+    let bless = env::flag(|k| std::env::var(k).ok(), "NDP_BLESS").expect("NDP_BLESS is a flag");
+    if bless == Some(true) {
+        let path = golden_path(name);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, got).unwrap();
+        eprintln!("blessed {} ({} bytes)", path.display(), got.len());
+        return;
+    }
+    assert_matches_golden(name, got);
+}
+
+fn assert_matches_golden(name: &str, got: &str) {
+    let path = golden_path(name);
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing golden file {} ({e}); run with NDP_BLESS=1 to create it",
@@ -100,16 +150,22 @@ fn assert_matches_golden(got: &str) {
 
 #[test]
 fn fig7_small_matches_golden() {
-    let got = sweep();
-    let path = golden_path();
-    let bless = env::flag(|k| std::env::var(k).ok(), "NDP_BLESS").expect("NDP_BLESS is a flag");
-    if bless == Some(true) {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("blessed {} ({} bytes)", path.display(), got.len());
-        return;
-    }
-    assert_matches_golden(&got);
+    check_golden("fig7_small", &sweep());
+}
+
+/// The golden on which the MSHR-blocked retry path decides the no-issue
+/// attribution: most cells must stall on full MSHR tables, or the file
+/// stops guarding that path.
+#[test]
+fn mshr_stalls_matches_golden() {
+    let got = mshr_sweep();
+    let stalling = got
+        .lines()
+        .filter(|l| l.trim_start().starts_with("exec_unit_busy:"))
+        .filter(|l| !l.trim_end().ends_with(" 0,"))
+        .count();
+    assert!(stalling >= 5, "only {stalling} of 10 cells stall on MSHRs");
+    check_golden("mshr_stalls", &got);
 }
 
 /// Every run option on at once — observation, profiling, deep invariant
@@ -137,7 +193,7 @@ fn fig7_small_matches_golden_with_every_option_on() {
     let saved = std::fs::read_dir(&ckpt).unwrap().count();
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(saved, 9, "one periodic checkpoint file per cell");
-    assert_matches_golden(&got);
+    assert_matches_golden("fig7_small", &got);
 }
 
 /// Same sweep twice in one process must agree with itself — catches any
