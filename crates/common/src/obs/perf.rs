@@ -41,8 +41,10 @@ use serde::{Deserialize, Serialize};
 /// `sm_structural_retries` and `sm_memo_answers`: issue attempts a full
 /// MSHR table or output queue refused, and how many of those the
 /// blocked-verdict memo answered without re-running the issue path. v5
-/// dropped `heartbeats`: no run reached their 2^20-cycle cadence.
-pub const PERF_SCHEMA_VERSION: u32 = 5;
+/// dropped `heartbeats`: no run reached their 2^20-cycle cadence. v6 added
+/// per-SM `sm_replayed_retries`: MSHR-blocked retries booked on cycles the
+/// SM was not ticked.
+pub const PERF_SCHEMA_VERSION: u32 = 6;
 
 /// Pipeline passes between wall-clock-sampled passes (the strided timer).
 pub const TIMER_STRIDE: u64 = 64;
@@ -252,6 +254,7 @@ impl Perf {
             sm_ready_occupancy: Vec::new(),
             sm_structural_retries: Vec::new(),
             sm_memo_answers: Vec::new(),
+            sm_replayed_retries: Vec::new(),
         }
     }
 }
@@ -313,6 +316,11 @@ pub struct PerfReport {
     /// answered in O(1). Empty before v4.
     #[serde(default)]
     pub sm_memo_answers: Vec<u64>,
+    /// Per SM: retries of warps parked on an MSHR verdict that fell on
+    /// cycles the SM was not ticked, booked as refused without being run.
+    /// Not counted in `sm_structural_retries`. Empty before v6.
+    #[serde(default)]
+    pub sm_replayed_retries: Vec<u64>,
 }
 
 impl PerfReport {
@@ -371,9 +379,11 @@ impl PerfReport {
                 .max()
                 .copied()
                 .unwrap_or(0);
+            let replayed: u64 = self.sm_replayed_retries.iter().sum();
             out.push_str(&format!(
                 "sm structural retries: {retries} over {} SMs (max {max}), {answers} \
-                 ({:.1}%) answered by the blocked-verdict memo\n",
+                 ({:.1}%) answered by the blocked-verdict memo; {replayed} more replayed \
+                 without a tick\n",
                 self.sm_structural_retries.len(),
                 if retries > 0 {
                     answers as f64 * 100.0 / retries as f64
@@ -503,6 +513,7 @@ mod tests {
         r.sm_ready_occupancy = vec![1.5, 0.25];
         r.sm_structural_retries = vec![40, 0];
         r.sm_memo_answers = vec![30, 0];
+        r.sm_replayed_retries = vec![7, 5];
         assert_eq!(r.schema_version, PERF_SCHEMA_VERSION);
         let json = serde_json::to_string(&r).unwrap();
         let back: PerfReport = serde_json::from_str(&json).unwrap();
@@ -510,16 +521,23 @@ mod tests {
         let table = r.table_text();
         assert!(table.contains("ready-set occupancy"), "{table}");
         assert!(
-            table.contains("structural retries: 40 over 2 SMs (max 40), 30 (75.0%) answered"),
+            table.contains(
+                "structural retries: 40 over 2 SMs (max 40), 30 (75.0%) answered by the \
+                 blocked-verdict memo; 12 more replayed without a tick"
+            ),
             "{table}"
         );
-        // v3 reports (no retry counts) and v2 reports (no occupancy either)
-        // still deserialize.
-        let v3 = json.replace(
+        // v5 reports (no replay counts), v3 reports (no retry counts
+        // either) and v2 reports (no occupancy either) still deserialize.
+        let v5 = json.replace(",\"sm_replayed_retries\":[7,5]", "");
+        assert_ne!(v5, json);
+        let old: PerfReport = serde_json::from_str(&v5).unwrap();
+        assert!(old.sm_replayed_retries.is_empty());
+        let v3 = v5.replace(
             ",\"sm_structural_retries\":[40,0],\"sm_memo_answers\":[30,0]",
             "",
         );
-        assert_ne!(v3, json);
+        assert_ne!(v3, v5);
         let old: PerfReport = serde_json::from_str(&v3).unwrap();
         assert!(old.sm_structural_retries.is_empty() && old.sm_memo_answers.is_empty());
         let v2 = v3.replace(",\"sm_ready_occupancy\":[1.5,0.25]", "");

@@ -12,8 +12,11 @@
 //!
 //! Small MSHR tables, small output queues and a drain of a random number
 //! of packets per cycle put warps under structural backpressure, so the
-//! blocked-verdict memos are recomputed from scratch every cycle too
-//! (`check_blocked_memos`).
+//! blocked-verdict memos — among them every parked warp's MSHR verdict —
+//! are recomputed from scratch every cycle too (`check_blocked_memos`).
+//! A twin SM driven through the same schedule is ticked only on cycles
+//! its horizon says are due, as the event-driven system ticks SMs; its
+//! lazily booked issue statistics must equal the every-cycle SM's.
 
 use proptest::prelude::*;
 use standardized_ndp::common::ids::{Node, OffloadId};
@@ -157,18 +160,20 @@ impl Responder {
     }
 }
 
-/// Blocked-verdict memo answers summed over every case of the property
-/// below.
+/// Blocked-verdict memo answers, and parked retries the twin booked
+/// without a tick, summed over every case of the property below.
 static MEMO_ANSWERS: AtomicU64 = AtomicU64::new(0);
+static REPLAYED: AtomicU64 = AtomicU64::new(0);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random warp-state trajectories: the incremental scheduler state must
     /// match a full-slot rescan after every single cycle, the O(1)
-    /// horizon must equal the brute-force one at every query point, and
-    /// every memo that would answer must agree with a from-scratch
-    /// verdict.
+    /// horizon must equal the brute-force one at every query point, every
+    /// memo that would answer must agree with a from-scratch verdict, and
+    /// an SM ticked only when due must book the same issue statistics as
+    /// one ticked every cycle.
     fn sched_matches_rescan_under_backpressure(
         seed in any::<u64>(),
         wl_idx in 0usize..64,
@@ -190,44 +195,69 @@ proptest! {
         let kernel = Arc::new(compile(&program, &CompilerConfig::default()));
         let mut cfg = SmConfig::from_system(0, &sys);
         cfg.out_capacity = out_capacity;
-        let mut sm = Sm::new(cfg, &sys, kernel);
+        let mut sm = Sm::new(cfg, &sys, kernel.clone());
+        let mut twin = Sm::new(cfg, &sys, kernel);
         let mut env = RandEnv::new(seed, offload_pct, reserve_pct);
+        let mut twin_env = RandEnv::new(seed, offload_pct, reserve_pct);
         for w in 0..warps {
             sm.assign_warp(w, u32::MAX, w / 2);
+            twin.assign_warp(w, u32::MAX, w / 2);
         }
 
         let mut responder = Responder::new(fill_delay, ack_delay, drop_ack_pct);
+        let mut twin_responder = Responder::new(fill_delay, ack_delay, drop_ack_pct);
         for now in 0..2_000u64 {
-            sm.check_sched_consistency().unwrap_or_else(|e| panic!("{e}"));
-            sm.check_blocked_memos(now).unwrap_or_else(|e| panic!("{e}"));
-            prop_assert_eq!(
-                sm.next_work_at(now),
-                sm.next_work_at_oracle(now),
-                "horizon diverged from full-scan oracle at cycle {}",
-                now
-            );
+            for s in [&sm, &twin] {
+                s.check_sched_consistency().unwrap_or_else(|e| panic!("{e}"));
+                s.check_blocked_memos(now).unwrap_or_else(|e| panic!("{e}"));
+                prop_assert_eq!(
+                    s.next_work_at(now),
+                    s.next_work_at_oracle(now),
+                    "horizon diverged from full-scan oracle at cycle {}",
+                    now
+                );
+            }
             sm.tick(now, &mut env);
+            if twin.next_work_at(now).is_some_and(|c| c <= now) {
+                twin.tick(now, &mut twin_env);
+            }
             let drain = env.next() % (max_drain + 1);
             responder.cycle(&mut sm, &mut env, now, drain);
+            let drain = twin_env.next() % (max_drain + 1);
+            twin_responder.cycle(&mut twin, &mut twin_env, now, drain);
+            prop_assert_eq!(
+                sm.stats,
+                twin.issue_stats_until(now + 1),
+                "the SM ticked only when due booked different stats by cycle {}",
+                now
+            );
             if sm.is_done() && responder.inbox.is_empty() {
                 break;
             }
         }
         sm.check_sched_consistency().unwrap_or_else(|e| panic!("{e}"));
         MEMO_ANSWERS.fetch_add(sm.structural_retries().1, Ordering::SeqCst);
+        REPLAYED.fetch_add(twin.structural_retries().2, Ordering::SeqCst);
     }
 }
 
-/// The property above, plus a guard that its backpressure axes still reach
-/// the memo: if no case ever had a retry answered from a memo, the
-/// per-cycle `check_blocked_memos` calls would be checking nothing.
+/// The property above, plus guards that its backpressure axes still reach
+/// the memo and the parked sets: if no case ever had a retry answered from
+/// a memo, the per-cycle `check_blocked_memos` calls would be checking
+/// nothing, and if the twin never booked a parked retry, the stats
+/// comparison would not cover parking.
 #[test]
 fn incremental_sched_matches_full_rescan() {
     MEMO_ANSWERS.store(0, Ordering::SeqCst);
+    REPLAYED.store(0, Ordering::SeqCst);
     sched_matches_rescan_under_backpressure();
     assert!(
         MEMO_ANSWERS.load(Ordering::SeqCst) > 0,
         "no blocked-verdict memo answered in any case"
+    );
+    assert!(
+        REPLAYED.load(Ordering::SeqCst) > 0,
+        "no parked retry was booked without a tick in any case"
     );
 }
 
@@ -257,17 +287,17 @@ fn dropped_wake_wheel_update_is_caught_by_name() {
     panic!("dropped wake-wheel update site was never caught");
 }
 
-/// Mutation test: L1 fills that leave the cache epoch unchanged make MSHR
-/// memos outlive the residency they were computed from. The memo oracle
-/// must report it, naming the stale epoch.
+/// Mutation test: L1 fills that leave the fill count unchanged make MSHR
+/// verdicts outlive the shortfall they were computed from, and keep their
+/// warps parked. The memo oracle must report it, naming the fill count.
 #[test]
-fn stale_l1_epoch_is_caught_by_name() {
+fn skipped_fill_count_is_caught_by_name() {
     let program = Workload::Vadd.build(&Scale { warps: 4, iters: 2 });
     let mut sys = SystemConfig::default();
     sys.gpu.l1d_mshrs = 1;
     let kernel = Arc::new(compile(&program, &CompilerConfig::default()));
     let mut sm = Sm::new(SmConfig::from_system(0, &sys), &sys, kernel);
-    sm.sabotage_skip_fill_epoch = true;
+    sm.sabotage_skip_fill_count = true;
     let mut env = RandEnv::new(7, 0, 100);
     for w in 0..4 {
         sm.assign_warp(w, u32::MAX, w / 2);
@@ -276,13 +306,13 @@ fn stale_l1_epoch_is_caught_by_name() {
     for now in 0..400 {
         if let Err(msg) = sm.check_blocked_memos(now) {
             assert!(
-                msg.contains("l1_epoch"),
-                "checker must name the stale epoch, got: {msg}"
+                msg.contains("fill count"),
+                "checker must name the stale fill count, got: {msg}"
             );
             return;
         }
         sm.tick(now, &mut env);
         responder.cycle(&mut sm, &mut env, now, u64::MAX);
     }
-    panic!("a fill that skipped the L1 epoch bump was never caught");
+    panic!("a fill that skipped the fill count was never caught");
 }
