@@ -21,8 +21,9 @@ use super::perf::PerfReport;
 use super::{HistogramSummary, ObsReport, TraceSite};
 
 /// Version stamp of the flat metrics document. Bumped to 2 when the field
-/// itself was introduced (v1 documents carry no version).
-pub const METRICS_SCHEMA_VERSION: u32 = 2;
+/// itself was introduced (v1 documents carry no version); 3 added
+/// `events_dropped`.
+pub const METRICS_SCHEMA_VERSION: u32 = 3;
 
 const PID_PROTOCOL: u32 = 0;
 const PID_OCCUPANCY: u32 = 1;
@@ -140,6 +141,10 @@ pub struct Metrics {
     pub schema_version: u32,
     /// Cycles between occupancy samples, before decimation.
     pub sample_interval: u64,
+    /// Protocol events the trace lost because its ring was full (0 before
+    /// v3).
+    #[serde(default)]
+    pub events_dropped: u64,
     pub txn: TxnCounts,
     pub latency_cycles: BTreeMap<String, HistogramSummary>,
     pub occupancy: BTreeMap<String, Samples>,
@@ -216,6 +221,7 @@ impl ObsReport {
         Metrics {
             schema_version: METRICS_SCHEMA_VERSION,
             sample_interval: self.sample_interval,
+            events_dropped: self.events_dropped,
             txn: TxnCounts {
                 issued: self.txn_issued,
                 completed: self.txn_completed,

@@ -83,10 +83,14 @@ pub struct TraceEvent {
 }
 
 /// Bounded event recorder (disabled ⇒ zero overhead beyond a branch).
+/// Once `limit` events are held it keeps the first ones and counts the
+/// rest, so a truncated trace says how much it lost.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventRing {
     events: Vec<TraceEvent>,
     limit: usize,
+    /// Events offered after the ring was full.
+    dropped: u64,
 }
 
 impl EventRing {
@@ -94,17 +98,22 @@ impl EventRing {
         EventRing {
             events: Vec::with_capacity(limit.min(4096)),
             limit,
+            dropped: 0,
         }
     }
 
     #[inline]
     pub fn is_on(&self) -> bool {
-        self.limit > 0 && self.events.len() < self.limit
+        self.limit > 0
     }
 
     #[inline]
     pub fn record(&mut self, cycle: Cycle, site: TraceSite, p: &Packet) {
         if !self.is_on() {
+            return;
+        }
+        if self.events.len() >= self.limit {
+            self.dropped += 1;
             return;
         }
         self.events.push(TraceEvent {
@@ -120,6 +129,11 @@ impl EventRing {
 
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
+    }
+
+    /// Events offered while the ring was full, and so not recorded.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     /// All events belonging to one offload-block instance, in order.
@@ -209,7 +223,11 @@ impl Snap for TraceEvent {
     }
 }
 
-crate::snap_state!(EventRing { limit, events });
+crate::snap_state!(EventRing {
+    limit,
+    events,
+    dropped
+});
 
 #[cfg(test)]
 mod tests {
@@ -243,5 +261,7 @@ mod tests {
             r.record(i, TraceSite::SmEject, &p);
         }
         assert_eq!(r.events().len(), 3);
+        assert_eq!(r.dropped(), 7, "the surplus is counted, not lost");
+        assert_eq!(r.events()[2].cycle, 2, "the first events are kept");
     }
 }

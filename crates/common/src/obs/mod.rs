@@ -170,6 +170,7 @@ impl Obs {
                 })
                 .collect(),
             events: self.events.events().to_vec(),
+            events_dropped: self.events.dropped(),
         }
     }
 }
@@ -233,7 +234,11 @@ pub struct ObsReport {
     pub orphan_acks: u64,
     pub latency: Vec<SegmentLatency>,
     pub series: Vec<SeriesReport>,
+    /// The first [`EVENT_CAP`] protocol events of the run.
     pub events: Vec<TraceEvent>,
+    /// Protocol events observed after the ring was full: `events` covers
+    /// the whole run only when this is 0.
+    pub events_dropped: u64,
 }
 
 impl ObsReport {
@@ -254,6 +259,11 @@ impl ObsReport {
         out.push_str(&format!(
             "offload transactions: {} issued, {} completed, {} in flight, {} orphan ACKs\n",
             self.txn_issued, self.txn_completed, self.txn_inflight, self.orphan_acks
+        ));
+        out.push_str(&format!(
+            "protocol events: {} recorded, {} dropped after the first {EVENT_CAP}\n",
+            self.events.len(),
+            self.events_dropped
         ));
         out.push_str(
             "latency (cycles)        count      mean       p50       p90       p99       max\n",

@@ -20,19 +20,17 @@ pub const NO_BLOCK: u16 = u16::MAX;
 /// header per packet.
 pub const HEADER_BYTES: u32 = 16;
 
-/// A single lane's participation in a memory access: `(lane index within the
-/// warp, full byte address)`.
-pub type LaneAddr = (u8, u64);
-
 /// One coalesced access to a 128 B cache line, produced by the GPU's
 /// coalescing unit for both baseline memory instructions and RDF/WTA
-/// generation (§4.1.1 "Memory instruction").
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// generation (§4.1.1 "Memory instruction"). A 16-byte value: the model
+/// needs which lanes touch the line and whether they sit at their aligned
+/// offsets, never a lane's byte address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineAccess {
     /// Cache-line base address.
     pub line: u64,
-    /// The lanes touching this line and their byte addresses.
-    pub lanes: Vec<LaneAddr>,
+    /// The lanes touching this line (bit *i* = lane *i*).
+    pub mask: u32,
     /// §4.1.1 alignment rule: aligned iff lane *i* reads
     /// `line + i × WordSize`. Misaligned accesses append per-thread offsets
     /// to RDF/WTA packets.
@@ -42,19 +40,14 @@ pub struct LineAccess {
 impl LineAccess {
     /// Number of active words in this access.
     pub fn active_words(&self) -> u32 {
-        self.lanes.len() as u32
-    }
-
-    /// Active-thread mask over the warp.
-    pub fn lane_mask(&self) -> u32 {
-        self.lanes.iter().fold(0u32, |m, &(l, _)| m | (1 << l))
+        self.mask.count_ones()
     }
 
     /// Extra bytes appended to an RDF/WTA packet for a misaligned access:
     /// one offset byte per active thread (Fig. 4(b)).
     pub fn offset_overhead(&self) -> u32 {
         if self.misaligned {
-            self.lanes.len() as u32
+            self.active_words()
         } else {
             0
         }
@@ -63,7 +56,7 @@ impl LineAccess {
 
 crate::snap_value!(LineAccess {
     line,
-    lanes,
+    mask,
     misaligned
 });
 
@@ -321,19 +314,20 @@ crate::snap_value!(enum PacketKind {
 mod tests {
     use super::*;
 
-    fn lanes(n: u8) -> Vec<LaneAddr> {
-        (0..n).map(|l| (l, 0x1000 + 4 * l as u64)).collect()
+    /// Lanes `0..n`.
+    fn lanes(n: u8) -> u32 {
+        (0..n).fold(0, |m, l| m | 1 << l)
     }
 
     #[test]
-    fn line_access_mask_and_words() {
+    fn line_access_is_a_16_byte_value() {
+        assert_eq!(std::mem::size_of::<LineAccess>(), 16);
         let a = LineAccess {
             line: 0x1000,
-            lanes: vec![(0, 0x1000), (3, 0x100c), (31, 0x107c)],
+            mask: 1 | (1 << 3) | (1 << 31),
             misaligned: false,
         };
         assert_eq!(a.active_words(), 3);
-        assert_eq!(a.lane_mask(), 1 | (1 << 3) | (1 << 31));
         assert_eq!(a.offset_overhead(), 0);
     }
 
@@ -341,7 +335,7 @@ mod tests {
     fn misaligned_access_pays_offset_bytes() {
         let a = LineAccess {
             line: 0x1000,
-            lanes: lanes(7),
+            mask: lanes(7),
             misaligned: true,
         };
         assert_eq!(a.offset_overhead(), 7);
@@ -366,7 +360,7 @@ mod tests {
             seq: 0,
             access: LineAccess {
                 line: 0x80,
-                lanes: vec![(5, 0x84)],
+                mask: 1 << 5,
                 misaligned: true,
             },
         };
@@ -410,13 +404,13 @@ mod tests {
         // carry the cached words to the NSU, consuming GPU off-chip BW.
         let access = LineAccess {
             line: 0,
-            lanes: lanes(32),
+            mask: u32::MAX,
             misaligned: false,
         };
         let hit = PacketKind::Rdf {
             token: OffloadToken(0),
             seq: 0,
-            access: access.clone(),
+            access,
             target: Node::Nsu(0),
             block: 0,
             cache_hit_data: true,

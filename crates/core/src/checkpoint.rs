@@ -61,7 +61,11 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"NDPCKPT\0");
 /// which became constants, leaving one on/off flag. A v4 image must fail
 /// on its schema. v6: every link's statistics lost their per-packet-kind
 /// byte array (nothing read it), so a v5 image must fail on its schema.
-pub const SCHEMA_VERSION: u32 = 6;
+/// v7: a coalesced line access is its line, a 32-bit lane mask and the
+/// misaligned flag, where v6 wrote a length-prefixed list of (lane, byte
+/// address) pairs; and the observability event ring carries the count of
+/// events it dropped when full. A v6 image must fail on its schema.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// File extension used for per-workload checkpoints when the checkpoint
 /// target or resume source names a directory.

@@ -473,7 +473,7 @@ mod tests {
         let addr = addr_for(&c, 1, 0);
         let access = LineAccess {
             line: addr,
-            lanes: vec![(0, addr), (1, addr + 4)],
+            mask: 0b11,
             misaligned: false,
         };
         s.accept(Packet::new(
@@ -510,7 +510,7 @@ mod tests {
         let addr = addr_for(&c, 1, 5);
         let access = LineAccess {
             line: addr,
-            lanes: (0..32).map(|l| (l, addr + 4 * l as u64)).collect(),
+            mask: u32::MAX,
             misaligned: false,
         };
         s.accept(Packet::new(

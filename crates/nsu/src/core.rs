@@ -157,7 +157,7 @@ impl Nsu {
                     .read_buf
                     .entry((token, seq))
                     .or_insert(ReadEntry { arrived_mask: 0 });
-                entry.arrived_mask |= access.lane_mask();
+                entry.arrived_mask |= access.mask;
                 if self.read_buf.len() > self.read_capacity {
                     return Err(self.bad_delivery(
                         now,
@@ -176,7 +176,7 @@ impl Nsu {
                     .read_buf
                     .entry((token, seq))
                     .or_insert(ReadEntry { arrived_mask: 0 });
-                entry.arrived_mask |= access.lane_mask();
+                entry.arrived_mask |= access.mask;
             }
             PacketKind::Wta {
                 token,
@@ -581,7 +581,7 @@ mod tests {
     fn full_access(line: u64) -> LineAccess {
         LineAccess {
             line,
-            lanes: (0..32).map(|l| (l, line + 4 * l as u64)).collect(),
+            mask: u32::MAX,
             misaligned: false,
         }
     }
@@ -676,7 +676,7 @@ mod tests {
         n.deliver(0, cmd(2)).unwrap();
         // Two partial responses covering half the warp each.
         let mut a1 = full_access(0x1000);
-        a1.lanes.truncate(16);
+        a1.mask = 0xffff;
         for now in 0..20 {
             n.tick(now);
         }
@@ -687,7 +687,7 @@ mod tests {
         }
         assert!(n.out.is_empty(), "half the lanes still missing");
         let mut a2 = full_access(0x1000);
-        a2.lanes.drain(0..16);
+        a2.mask = 0xffff_0000;
         n.deliver(0, rdf_resp(2, 0, a2)).unwrap();
         n.deliver(0, wta(2, 1, full_access(0x2000))).unwrap();
         let mut wrote = false;
@@ -747,9 +747,9 @@ mod tests {
         n.deliver(0, rdf_resp(4, 0, full_access(0x1000))).unwrap();
         // Two WTA line accesses for one store instruction (divergent store).
         let mut h1 = full_access(0x2000);
-        h1.lanes.truncate(16);
+        h1.mask = 0xffff;
         let mut h2 = full_access(0x8000);
-        h2.lanes.drain(0..16);
+        h2.mask = 0xffff_0000;
         n.deliver(0, wta2(4, 1, h1, 2)).unwrap();
         n.deliver(0, wta2(4, 1, h2, 2)).unwrap();
         let mut writes = 0;

@@ -62,7 +62,7 @@ fn rdf_resp(token: u64, lanes: std::ops::Range<u8>) -> Packet {
             seq: 0,
             access: LineAccess {
                 line: 0x1000,
-                lanes: lanes.map(|l| (l, 0x1000 + l as u64 * 4)).collect(),
+                mask: lanes.fold(0, |m, l| m | 1 << l),
                 misaligned: false,
             },
         },
@@ -79,7 +79,7 @@ fn wta(token: u64) -> Packet {
             seq: 1,
             access: LineAccess {
                 line: 0x2000,
-                lanes: (0..32).map(|l| (l, 0x2000 + l as u64 * 4)).collect(),
+                mask: u32::MAX,
                 misaligned: false,
             },
             target: Node::Nsu(0),

@@ -149,3 +149,42 @@ fn tracer_and_obs_share_one_event_stream() {
         "rendered events missing from the exported ring"
     );
 }
+
+/// A run that offers the event ring more packets than it holds keeps the
+/// first `EVENT_CAP` and reports the surplus as dropped, exactly: every
+/// packet moved across a traced edge (the profiler's `moved` counts) is
+/// either in the trace or in `events_dropped`, and the metrics document
+/// and the summary say so.
+#[test]
+fn a_full_event_ring_counts_what_it_drops() {
+    use standardized_ndp::common::obs::EVENT_CAP;
+    let mut cfg = SystemConfig::naive_ndp();
+    cfg.gpu.num_sms = 8;
+    let p = Workload::Vadd.build(&Scale {
+        warps: 256,
+        iters: 8,
+    });
+    let mut opts = RunOptions::from_env().expect("valid NDP_* environment");
+    opts.obs = true;
+    opts.perf = true;
+    let kernel = Arc::new(compile(&p, &CompilerConfig::default()));
+    let r = System::build(cfg, kernel, &opts)
+        .expect("builtin workload builds")
+        .run(MAX)
+        .unwrap();
+    let (obs, perf) = (r.obs.as_ref().unwrap(), r.perf.as_ref().unwrap());
+    let offered: u64 = ["sm_out", "up_link", "stack_to_nsu", "nsu_out", "down_link"]
+        .iter()
+        .map(|e| perf.stage(&format!("edge:{e}")).expect("traced edge").moved)
+        .sum();
+    assert!(offered > EVENT_CAP as u64, "only {offered} packets offered");
+    assert_eq!(obs.events.len(), EVENT_CAP);
+    assert_eq!(obs.events_dropped, offered - EVENT_CAP as u64);
+    assert_eq!(obs.metrics().events_dropped, obs.events_dropped);
+    let dropped = format!("{} dropped", obs.events_dropped);
+    assert!(
+        obs.summary_text().contains(&dropped),
+        "{}",
+        obs.summary_text()
+    );
+}

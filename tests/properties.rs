@@ -10,8 +10,7 @@ use standardized_ndp::memnet::Topology;
 
 proptest! {
     /// Coalescing partitions the active lanes exactly: every active lane
-    /// appears in exactly one line access, at its own address, and every
-    /// access's lanes share that access's line.
+    /// appears in exactly one line access, the one of its address's line.
     #[test]
     fn coalesce_partitions_active_lanes(
         base in 0u64..1u64 << 40,
@@ -25,9 +24,8 @@ proptest! {
         let accesses = coalesce(&addrs, active, 4, 128);
         let mut seen = 0u32;
         for a in &accesses {
-            for &(lane, addr) in &a.lanes {
-                prop_assert_eq!(addr & !127, a.line, "lane outside its line");
-                prop_assert_eq!(addr, addrs[lane as usize]);
+            for lane in (0..32).filter(|l| a.mask & (1 << l) != 0) {
+                prop_assert_eq!(addrs[lane] & !127, a.line, "lane outside its line");
                 prop_assert_eq!(seen & (1 << lane), 0, "lane duplicated");
                 seen |= 1 << lane;
             }
@@ -90,7 +88,7 @@ proptest! {
         use standardized_ndp::common::ids::OffloadToken;
         let access = LineAccess {
             line: 0,
-            lanes: (0..words).map(|l| (l as u8, l as u64 * 4)).collect(),
+            mask: (0..words).fold(0, |m, l| m | 1 << l),
             misaligned: false,
         };
         let size = Packet::wire_size(&PacketKind::RdfResp {
