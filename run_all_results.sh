@@ -6,7 +6,10 @@
 #                      so an interrupted sweep continues from its last saved
 #                      boundary instead of restarting. Results are
 #                      byte-identical to an uninterrupted sweep (DESIGN.md §13).
-cd /root/repo
+#
+# Runs in the checkout that holds this script, from whatever directory it
+# is called.
+cd "$(dirname "$0")" || exit 1
 while [ $# -gt 0 ]; do
     case "$1" in
         --resume-dir)
