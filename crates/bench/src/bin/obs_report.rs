@@ -14,6 +14,8 @@
 //!   - `obs_trace.json`  — Chrome trace-event JSON (load in Perfetto),
 //!   - `obs_metrics.json` — flat metrics document for scripts,
 //!   - `perf_trace.json` — the self-profile as a Perfetto lane.
+//!
+//! A run that hits the safety cycle cap exits 2 after writing them.
 
 use std::sync::Arc;
 
@@ -93,8 +95,6 @@ fn main() {
              the report covers a truncated run",
             r.cycles
         );
-        if ndp_bench::strict_timeouts() {
-            std::process::exit(2);
-        }
+        std::process::exit(2);
     }
 }

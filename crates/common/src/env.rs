@@ -5,7 +5,7 @@
 //! never reads the process environment itself. The simulator reads its
 //! environment in one place, `ndp_core::RunOptions::from_env`, which also
 //! rejects any `NDP_`-prefixed name missing from [`KNOWN`] (see
-//! [`check_names`]); the bench harness reads its own scale and strictness
+//! [`check_names`]); the bench harness reads its own scale and epoch
 //! variables through the same parsers.
 
 use std::fmt;
@@ -73,7 +73,7 @@ pub fn path(get: impl Fn(&str) -> Option<String>, var: &str) -> Option<PathBuf> 
 
 /// Every environment variable the simulator and its harness understand
 /// (README.md describes each). Any other `NDP_`-prefixed name is refused.
-pub const KNOWN: [&str; 12] = [
+pub const KNOWN: [&str; 11] = [
     // Run options, read by `ndp_core::RunOptions::from_env`.
     "NDP_NO_SKIP",
     "NDP_DEEP_INVARIANTS",
@@ -82,11 +82,10 @@ pub const KNOWN: [&str; 12] = [
     "NDP_CHECKPOINT_PATH",
     "NDP_RESUME",
     "NDP_STALL_DUMP",
-    // The bench harness's scale, epoch and strictness (`ndp_bench`).
+    // The bench harness's scale and epoch (`ndp_bench`).
     "NDP_WARPS",
     "NDP_ITERS",
     "NDP_EPOCH",
-    "NDP_STRICT_TIMEOUT",
     // Re-blesses `tests/golden_determinism.rs`.
     "NDP_BLESS",
 ];

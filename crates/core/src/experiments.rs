@@ -1,6 +1,6 @@
-//! Experiment drivers: run workload × configuration matrices in parallel
-//! and extract each figure's series. The actual printing lives in the
-//! `ndp-bench` harness binaries.
+//! Experiment drivers: run lists of (workload, configuration) cells, or
+//! whole matrices of them, in parallel. The figures that declare and print
+//! them live in the `ndp-bench` crate.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 use ndp_common::config::SystemConfig;
 use ndp_common::error::SimError;
 use ndp_compiler::{compile, CompilerConfig};
-use ndp_workloads::{Scale, Workload, WORKLOADS};
+use ndp_workloads::{Scale, Workload};
 
 use crate::checkpoint;
 use crate::options::RunOptions;
@@ -78,50 +78,60 @@ impl Matrix {
     }
 }
 
-/// Run the full matrix, parallelized over (config, workload) pairs with a
-/// simple work-stealing pool (std threads only).
+/// Run every `(workload, config)` cell at `scale` on a pool of
+/// `available_parallelism` workers (std threads only), which take the
+/// cells in the order given. Results come back in the same order.
+pub fn run_cells(
+    cells: Vec<(Workload, SystemConfig)>,
+    scale: &Scale,
+    max_cycles: u64,
+) -> Vec<RunResult> {
+    // Refuse a bad environment once, here, rather than in every worker.
+    if let Err(e) = RunOptions::from_env() {
+        panic!("{e}");
+    }
+    let n = cells.len();
+    let jobs: Mutex<VecDeque<(usize, (Workload, SystemConfig))>> =
+        Mutex::new(cells.into_iter().enumerate().collect());
+    let results: Vec<Mutex<Option<RunResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let nthreads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .min(n);
+    std::thread::scope(|scope| {
+        for _ in 0..nthreads {
+            scope.spawn(|| loop {
+                let job = jobs.lock().expect("pool lock").pop_front();
+                let Some((i, (w, cfg))) = job else { break };
+                let r = run_workload(w, cfg, scale, max_cycles);
+                *results[i].lock().expect("slot lock") = Some(r);
+            });
+        }
+    });
+    results
+        .into_iter()
+        .map(|m| m.into_inner().expect("lock").expect("job ran"))
+        .collect()
+}
+
+/// Run the full matrix through [`run_cells`], config-major.
 pub fn run_matrix(
     configs: &[(&str, SystemConfig)],
     workloads: &[Workload],
     scale: &Scale,
     max_cycles: u64,
 ) -> Matrix {
-    // Refuse a bad environment once, here, rather than in every worker.
-    if let Err(e) = RunOptions::from_env() {
-        panic!("{e}");
-    }
-    let jobs: Mutex<VecDeque<(usize, usize)>> = Mutex::new(
-        (0..configs.len())
-            .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
-            .collect(),
-    );
-    let results: Vec<Vec<Mutex<Option<RunResult>>>> = (0..configs.len())
-        .map(|_| (0..workloads.len()).map(|_| Mutex::new(None)).collect())
+    let cells = configs
+        .iter()
+        .flat_map(|(_, cfg)| workloads.iter().map(|&w| (w, cfg.clone())))
         .collect();
-    let nthreads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(configs.len() * workloads.len());
-    std::thread::scope(|scope| {
-        for _ in 0..nthreads {
-            scope.spawn(|| loop {
-                let job = jobs.lock().expect("pool lock").pop_front();
-                let Some((c, w)) = job else { break };
-                let r = run_workload(workloads[w], configs[c].1.clone(), scale, max_cycles);
-                *results[c][w].lock().expect("slot lock") = Some(r);
-            });
-        }
-    });
+    let mut results = run_cells(cells, scale, max_cycles).into_iter();
     Matrix {
         configs: configs.iter().map(|(n, _)| n.to_string()).collect(),
         workloads: workloads.to_vec(),
-        results: results
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|m| m.into_inner().expect("lock").expect("job ran"))
-                    .collect()
-            })
+        results: configs
+            .iter()
+            .map(|_| results.by_ref().take(workloads.len()).collect())
             .collect(),
     }
 }
@@ -158,11 +168,6 @@ pub fn fig10_configs() -> Vec<(&'static str, SystemConfig)> {
         ("NDP(Dyn)", SystemConfig::ndp_dynamic()),
         ("NDP(Dyn)_Cache", SystemConfig::ndp_dynamic_cache()),
     ]
-}
-
-/// All ten workloads (Table 1 order).
-pub fn all_workloads() -> Vec<Workload> {
-    WORKLOADS.to_vec()
 }
 
 #[cfg(test)]

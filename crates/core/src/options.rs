@@ -168,7 +168,6 @@ mod tests {
                     ("NDP_WARPS", "1"),
                     ("NDP_ITERS", "1"),
                     ("NDP_EPOCH", "1"),
-                    ("NDP_STRICT_TIMEOUT", "1"),
                     ("NDP_BLESS", "1"),
                 ],
                 RunOptions::default(),

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the figure/table harness binaries.
+//! Plain-text table rendering for the figure/table harness.
 
 /// Render a table with a header row; columns are right-aligned except the
 /// first.

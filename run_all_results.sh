@@ -1,5 +1,6 @@
 #!/bin/bash
-# Regenerate every paper table/figure at the recorded scale.
+# Regenerate every paper table/figure at the recorded scale, from the
+# release binaries (cargo build --release --workspace).
 #
 #   --resume-dir DIR   Periodically checkpoint every simulation into DIR and
 #                      resume any cell that already has a matching snapshot,
@@ -30,19 +31,16 @@ if [ -n "$RESUME_DIR" ]; then
     export NDP_CHECKPOINT_PATH="$RESUME_DIR"
     export NDP_RESUME="$RESUME_DIR"
 fi
+# NDP_EPOCH=2000 is the recorded scale's epoch; the plan gives it to every
+# cell, and ndp_benchmark's sweep-fig9 uses the same value.
 export NDP_WARPS=1024 NDP_ITERS=8 NDP_EPOCH=2000
-R=results
-# One entry per harness binary: make_report globs results/*.txt, so adding
-# a binary here is the only step needed to get it into REPORT.md.
-BINS="table1 table2 fig5 overhead fig9 fig7 fig8 fig10 fig11 \
-      inval_traffic nsu_freq bigger_gpu nsu_cache ablate bicg_fine"
-for b in $BINS; do
-    ./target/release/$b > $R/$b.txt 2>&1
-done
+# Every table and figure, each distinct cell simulated once:
+# results/<name>.txt and results/REPORT.md. Exits 2 if a cell timed out.
+./target/release/figures --out results || exit $?
 # Simulator self-profile: per-stage host-time/idle attribution for the
-# recorded scale (obs_report always profiles).
-./target/release/obs_report > $R/perf_report.txt 2>&1
+# recorded scale (obs_report always profiles). Host-dependent, so not
+# committed.
+./target/release/obs_report > results/perf_report.txt 2>&1
 # Core throughput baseline for regression gating (BENCH_core.json).
-./target/release/bench_baseline --out $R/BENCH_core.json > $R/bench_baseline.txt 2>&1
-./target/release/make_report
+./target/release/bench_baseline --out results/BENCH_core.json > results/bench_baseline.txt 2>&1
 echo ALL_DONE

@@ -9,7 +9,8 @@
 //!
 //! This facade crate re-exports the workspace's public API; the runnable
 //! entry points live in `examples/` (quickstart and scenario binaries) and
-//! in the `ndp-bench` crate (one harness binary per paper table/figure).
+//! in the `ndp-bench` crate (the `figures` binary regenerates every paper
+//! table and figure).
 //!
 //! ## Quickstart
 //!

@@ -2,7 +2,9 @@
 //! committed `RunResult`s, field for field. `fig7_small` covers every
 //! configuration of the speedup figure on three kernels; `mshr_stalls`
 //! covers all ten kernels on the Baseline GPU at a scale where most of
-//! them stall on full L1 MSHR tables (nonzero `exec_unit_busy`).
+//! them stall on full L1 MSHR tables (nonzero `exec_unit_busy`). A third
+//! golden, `figures_small`, holds the text of every table and figure as
+//! the `figures` binary prints it at 32 warps × 1 iteration.
 //!
 //! The simulator is a deterministic cycle-stepped model — same program,
 //! same config, same outputs, on every host. This test pins that contract
@@ -21,6 +23,7 @@ use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use ndp_bench::{figures, Plan};
 use standardized_ndp::common::env;
 use standardized_ndp::prelude::*;
 
@@ -194,6 +197,19 @@ fn fig7_small_matches_golden_with_every_option_on() {
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(saved, 9, "one periodic checkpoint file per cell");
     assert_matches_golden("fig7_small", &got);
+}
+
+/// Every table and figure through one plan at the default epoch, under
+/// the environment's run options.
+#[test]
+fn figures_small_matches_golden() {
+    let small = Scale {
+        warps: 32,
+        iters: 1,
+    };
+    let out = Plan::new(small, 30_000).run(&figures::select(&[]).expect("no name to reject"));
+    out.check().expect("no cell timed out");
+    check_golden("figures_small", &out.listing());
 }
 
 /// Same sweep twice in one process must agree with itself — catches any
