@@ -446,8 +446,10 @@ fn ablate(plan: &mut Plan) -> Render {
             let edit = |c: &mut SystemConfig| c.nsu.cmd_entries = n;
             (n, plan.cell_with(w, SystemConfig::ndp_static(0.6), edit))
         });
-        // Epoch length for the hill climber (§7.2).
-        let epoch = [10_000u64, 30_000, 100_000].map(|n| {
+        // Epoch length for the hill climber (§7.2): a quarter, one and
+        // four times the plan's epoch, so that the sweep brackets the epoch
+        // every other figure runs at. The middle cell is the `on` cell.
+        let epoch = [plan.epoch / 4, plan.epoch, plan.epoch * 4].map(|n| {
             let edit = |c: &mut SystemConfig| c.hill_climb.epoch_cycles = n;
             (n, plan.cell_with(w, SystemConfig::ndp_dynamic(), edit))
         });

@@ -2,11 +2,12 @@
 //! [`figures::Figure`] that declares its simulation cells on one
 //! [`Plan`]; the plan simulates each distinct cell once and every figure
 //! renders its text from the results. The `figures` binary runs them (see
-//! DESIGN.md §4). Criterion micro-benchmarks live in `benches/`.
+//! DESIGN.md §4). The simulator's host performance is measured by the
+//! benchmark in `ndp_benchmark/`, which the `bench_ab` binary runs as a
+//! same-host A/B of two revisions.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod figures;
 mod plan;
 
@@ -37,8 +38,10 @@ pub fn harness_scale() -> Scale {
 }
 
 /// The Algorithm 1 epoch length of harness runs: `NDP_EPOCH` cycles,
-/// 30,000 by default, so that scaled-down runs still span enough epochs
-/// for the hill climber to converge.
+/// 30,000 by default, the paper's value (§7.2). A shorter epoch gives a run
+/// more epochs: `run_all_results.sh` sets 2,000, which gives the recorded
+/// scale's kernels (about 28,000 Baseline cycles each on average) enough
+/// epochs for the hill climber to move.
 pub fn harness_epoch() -> u64 {
     epoch_from(process_env)
 }

@@ -31,7 +31,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 /// Version stamp of [`PerfReport`]'s serialized form, so downstream
-/// tooling (dashboards, `BENCH_core.json` diffing) can evolve. v2 added
+/// tooling (dashboards, the benchmark's `spans.json`) can evolve. v2 added
 /// the `skipped` counter and `skip_frac` from the event-driven core: the
 /// per-stage accounting identity is now
 /// `invocations + gated + skipped == cycles`. v3 added

@@ -41,6 +41,4 @@ export NDP_WARPS=1024 NDP_ITERS=8 NDP_EPOCH=2000
 # recorded scale (obs_report always profiles). Host-dependent, so not
 # committed.
 ./target/release/obs_report > results/perf_report.txt 2>&1
-# Core throughput baseline for regression gating (BENCH_core.json).
-./target/release/bench_baseline --out results/BENCH_core.json > results/bench_baseline.txt 2>&1
 echo ALL_DONE
