@@ -119,7 +119,6 @@ fn quartiles(xs: &[f64]) -> [f64; 3] {
 }
 
 /// One metric on one workload over the pairs where both sides succeeded.
-#[derive(Debug)]
 struct Comparison {
     parent: [f64; 3],
     change: [f64; 3],
