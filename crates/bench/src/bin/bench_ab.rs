@@ -1,16 +1,20 @@
 //! `bench_ab` — a same-host A/B of the benchmark (`ndp_benchmark/`).
 //!
-//! Usage: `bench_ab REV [--pairs N] [--seconds S]`
+//! Usage: `bench_ab REV [--seconds S]`
 //!
 //! Builds REV's `ndp_benchmark` from `git archive REV` in a temporary
-//! directory and the working tree's in place, then runs N alternating
+//! directory and the working tree's in place, then runs ten alternating
 //! parent/change pairs of every workload in `BENCHMARK.json`, S seconds per
-//! run (defaults: 10 pairs, `BENCHMARK.json`'s `run_seconds`). Pair i uses
-//! seed i mod 2, and the parent runs first when i is even. For each
-//! workload and end-to-end metric it prints both medians with their
-//! quartiles, the change/parent ratio, the pairs the change won, the
-//! parent's IQR/median and a verdict, from the metric's direction and bound
-//! in `BENCHMARK.json`:
+//! run (by default `BENCHMARK.json`'s `run_seconds`). Ten is the A/B
+//! procedure's minimum: with fewer, "nine tenths of the pairs" is one or two
+//! runs and the parent's quartiles are those of a handful of samples. Pair i
+//! uses seed i mod 2, and the parent runs first when i is even. Only the
+//! workloads and end-to-end metrics that both sides' `BENCHMARK.json` list
+//! are compared; one that only one side lists is named `new` or `gone` and
+//! not compared. For each compared workload and metric it prints both
+//! medians with their quartiles, the change/parent ratio, the pairs the
+//! change won, the parent's IQR/median and a verdict, from the metric's
+//! direction and bound in the change's `BENCHMARK.json`:
 //!
 //! - `regressed`: the change's median is worse than the parent's by more
 //!   than the bound, the change lost at least nine tenths of the pairs,
@@ -24,7 +28,7 @@
 //! prints `"correct":false` or `failed > 0`, or its last line is not a
 //! result. Exits 0 when no row regressed and every run succeeded, 1
 //! otherwise, and 2 on bad usage, on a REV whose tree has no
-//! `ndp_benchmark/`, or when a build fails.
+//! `ndp_benchmark/` or `BENCHMARK.json`, or when a build fails.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -33,7 +37,10 @@ use std::time::Instant;
 
 use serde::Deserialize;
 
-const USAGE: &str = "usage: bench_ab REV [--pairs N] [--seconds S]";
+const USAGE: &str = "usage: bench_ab REV [--seconds S]";
+
+/// Parent/change pairs per workload.
+const PAIRS: usize = 10;
 
 /// The parts of `BENCHMARK.json` the A/B reads.
 #[derive(Deserialize)]
@@ -55,16 +62,38 @@ struct EndToEnd {
     bound: f64,
 }
 
-fn parse_benchmark(text: &str) -> Result<Benchmark, String> {
-    let b: Benchmark = serde_json::from_str(text).map_err(|e| format!("BENCHMARK.json: {e:?}"))?;
+/// Parses the `BENCHMARK.json` at `path`, which errors name.
+fn parse_benchmark(path: &str, text: &str) -> Result<Benchmark, String> {
+    let b: Benchmark = serde_json::from_str(text).map_err(|e| format!("{path}: {e:?}"))?;
     let bad = |m: &&EndToEnd| m.better != "higher" && m.better != "lower";
     match b.end_to_end.iter().find(bad) {
-        Some(m) => Err(format!(
-            "BENCHMARK.json: {} is better {:?}",
-            m.name, m.better
-        )),
+        Some(m) => Err(format!("{path}: {} is better {:?}", m.name, m.better)),
         None => Ok(b),
     }
+}
+
+/// Narrows `change` to the workloads and end-to-end metrics `parent` also
+/// lists, since the parent's benchmark can neither run nor report the others,
+/// and returns a line for each name that only one side lists.
+fn shared(change: &mut Benchmark, parent: &Benchmark) -> Vec<String> {
+    let names = |b: &Benchmark| -> [Vec<String>; 2] {
+        let workloads = b.workloads.iter().map(|w| w.name.clone()).collect();
+        [
+            workloads,
+            b.end_to_end.iter().map(|m| m.name.clone()).collect(),
+        ]
+    };
+    let (c, p) = (names(change), names(parent));
+    let mut notes = vec![];
+    for (kind, c, p) in [("workload", &c[0], &p[0]), ("metric", &c[1], &p[1])] {
+        for (these, other, what) in [(c, p, "new"), (p, c, "gone")] {
+            let only = these.iter().filter(|n| !other.contains(n));
+            notes.extend(only.map(|n| format!("{kind} {n}: {what}, not compared")));
+        }
+    }
+    change.workloads.retain(|w| p[0].contains(&w.name));
+    change.end_to_end.retain(|m| p[1].contains(&m.name));
+    notes
 }
 
 /// The last line of a benchmark run.
@@ -141,16 +170,12 @@ impl Comparison {
         let shift = sign * (change[1] - parent[1]);
         let iqr = parent[2] - parent[0];
         let most = |k: usize| 10 * k >= 9 * pairs.len();
-        let verdict = if -shift > metric.bound * parent[1].abs() {
-            if most(lost) && -shift > iqr {
-                Verdict::Regressed
-            } else {
-                Verdict::Unresolved
-            }
-        } else if most(won) && shift > iqr {
-            Verdict::Gain
-        } else {
-            Verdict::Ok
+        let worse = -shift > metric.bound * parent[1].abs();
+        let verdict = match (worse, most(lost) && -shift > iqr, most(won) && shift > iqr) {
+            (true, true, _) => Verdict::Regressed,
+            (true, false, _) => Verdict::Unresolved,
+            (false, _, true) => Verdict::Gain,
+            (false, _, false) => Verdict::Ok,
         };
         let pairs = pairs.len();
         Comparison {
@@ -165,11 +190,8 @@ impl Comparison {
     /// One row of the table, in the columns of [`HEADER`].
     fn row(&self, workload: &str, metric: &str) -> String {
         let q = |v: [f64; 3]| format!("{} [{}, {}]", sig(v[1]), sig(v[0]), sig(v[2]));
-        let (p, c, won) = (
-            q(self.parent),
-            q(self.change),
-            format!("{}/{}", self.won, self.pairs),
-        );
+        let (p, c) = (q(self.parent), q(self.change));
+        let won = format!("{}/{}", self.won, self.pairs);
         let ratio = self.change[1] / self.parent[1];
         let spread = (self.parent[2] - self.parent[0]) / self.parent[1];
         let verdict = format!("{:?}", self.verdict).to_lowercase();
@@ -194,28 +216,18 @@ fn gate(verdicts: &[Verdict], failed_runs: usize) -> i32 {
     i32::from(verdicts.contains(&Verdict::Regressed) || failed_runs > 0)
 }
 
-/// `REV`, `--pairs` (10 by default) and `--seconds`, if given.
-fn parse_args(argv: &[String]) -> Result<(String, usize, Option<f64>), String> {
-    let (mut rev, mut pairs, mut seconds) = (None, 10, None);
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut number = || it.next().ok_or(format!("{arg} needs a number"));
-        match arg.as_str() {
-            "--pairs" => pairs = number()?.parse().map_err(|e| format!("--pairs: {e}"))?,
-            "--seconds" => {
-                let s: f64 = number()?.parse().map_err(|e| format!("--seconds: {e}"))?;
-                seconds = Some(s).filter(|s| *s >= 0.0 && s.is_finite());
-                seconds.ok_or("--seconds must be a finite number >= 0")?;
-            }
-            _ if arg.starts_with('-') => return Err(format!("unknown option {arg}")),
-            _ if rev.is_none() => rev = Some(arg.clone()),
-            _ => return Err(format!("unexpected argument {arg}")),
+/// `REV` and `--seconds`, if given.
+fn parse_args(argv: &[String]) -> Result<(String, Option<f64>), String> {
+    let seconds = match argv {
+        [rev] if !rev.starts_with('-') => None,
+        [rev, flag, s] if !rev.starts_with('-') && flag == "--seconds" => {
+            let s: f64 = s.parse().map_err(|e| format!("--seconds: {e}"))?;
+            let s = Some(s).filter(|s| *s >= 0.0 && s.is_finite());
+            Some(s.ok_or("--seconds must be a finite number >= 0")?)
         }
-    }
-    if pairs == 0 {
-        return Err("--pairs must be at least 1".into());
-    }
-    Ok((rev.ok_or("REV is required")?, pairs, seconds))
+        _ => return Err("expected REV, then optionally --seconds S".into()),
+    };
+    Ok((argv[0].clone(), seconds))
 }
 
 /// Removes the parent's tree when dropped, on failure too.
@@ -238,8 +250,9 @@ fn git(root: &Path, args: &[&str]) -> Result<String, String> {
 }
 
 /// Extracts `rev`'s tree into `dir`, which lies outside the checkout, so
-/// that cargo reads only that tree's own `.cargo/config.toml` there.
-fn extract(root: &Path, rev: &str, dir: &Path) -> Result<(), String> {
+/// that cargo reads only that tree's own `.cargo/config.toml` there, and
+/// returns that tree's `BENCHMARK.json`.
+fn extract(root: &Path, rev: &str, dir: &Path) -> Result<Benchmark, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let status = Command::new("sh")
         .current_dir(root)
@@ -251,7 +264,9 @@ fn extract(root: &Path, rev: &str, dir: &Path) -> Result<(), String> {
     if !status.success() || !dir.join("ndp_benchmark/Cargo.toml").is_file() {
         return Err(format!("{rev}: no ndp_benchmark/ in its tree"));
     }
-    Ok(())
+    let path = format!("{rev}:BENCHMARK.json");
+    let text = std::fs::read_to_string(dir.join("BENCHMARK.json"));
+    parse_benchmark(&path, &text.map_err(|e| format!("{path}: {e}"))?)
 }
 
 /// Builds the benchmark of the tree at `root`, with cargo run from there,
@@ -275,7 +290,7 @@ fn build(root: &Path) -> Result<PathBuf, String> {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv).map_err(|e| format!("{e}\n{USAGE}"));
-    let ab = |(rev, pairs, seconds): (String, _, _)| ab(&rev, pairs, seconds);
+    let ab = |(rev, seconds): (String, _)| ab(&rev, seconds);
     std::process::exit(args.and_then(ab).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         2
@@ -283,12 +298,11 @@ fn main() {
 }
 
 /// The whole A/B; `Err` is a set-up failure (exit 2).
-fn ab(rev: &str, pairs: usize, seconds: Option<f64>) -> Result<i32, String> {
+fn ab(rev: &str, seconds: Option<f64>) -> Result<i32, String> {
     let root = PathBuf::from(git(Path::new("."), &["rev-parse", "--show-toplevel"])?);
     let text = std::fs::read_to_string(root.join("BENCHMARK.json"))
         .map_err(|e| format!("BENCHMARK.json: {e}"))?;
-    let bench = parse_benchmark(&text)?;
-    let metrics = &bench.end_to_end;
+    let mut bench = parse_benchmark("BENCHMARK.json", &text)?;
     let seconds = seconds.unwrap_or(bench.run_seconds);
     let commit = format!("{rev}^{{commit}}");
     let rev = git(&root, &["rev-parse", "--short=12", "--verify", &commit])?;
@@ -296,7 +310,8 @@ fn ab(rev: &str, pairs: usize, seconds: Option<f64>) -> Result<i32, String> {
     let tmp = TempDir(std::env::temp_dir().join(format!("bench_ab-{}", std::process::id())));
     let _ = std::fs::remove_dir_all(&tmp.0);
     let t0 = Instant::now();
-    extract(&root, &rev, &tmp.0)?;
+    let notes = shared(&mut bench, &extract(&root, &rev, &tmp.0)?);
+    let metrics = &bench.end_to_end;
     let sides = [
         ("parent", build(&tmp.0)?, &tmp.0),
         ("change", build(&root)?, &root),
@@ -306,7 +321,7 @@ fn ab(rev: &str, pairs: usize, seconds: Option<f64>) -> Result<i32, String> {
     // values[workload][pair][side]: the run's metrics, None if it failed.
     let mut values = vec![vec![]; bench.workloads.len()];
     let mut failed: [Vec<String>; 2] = Default::default();
-    for pair in 0..pairs {
+    for pair in 0..PAIRS {
         let seed = pair % 2;
         for (w, Workload { name: workload }) in bench.workloads.iter().enumerate() {
             let (mut took, mut runs) = (vec![], [None, None]);
@@ -329,21 +344,19 @@ fn ab(rev: &str, pairs: usize, seconds: Option<f64>) -> Result<i32, String> {
                     }
                     Ok(o) => parse_result(&run, &String::from_utf8_lossy(&o.stdout), metrics),
                 };
-                match result {
-                    Ok(v) => runs[side] = Some(v),
-                    Err(e) => {
-                        eprintln!("FAILED {e}");
-                        failed[side].push(e);
-                    }
+                if let Err(e) = &result {
+                    eprintln!("FAILED {e}");
+                    failed[side].push(e.clone());
                 }
+                runs[side] = result.ok();
             }
             values[w].push(runs);
             let took = took.join(", ");
-            eprintln!("pair {}/{pairs} seed {seed} {workload}: {took}", pair + 1);
+            eprintln!("pair {}/{PAIRS} seed {seed} {workload}: {took}", pair + 1);
         }
     }
 
-    println!("parent {rev}, change the working tree; {pairs} pairs of {seconds} s runs");
+    println!("parent {rev}, change the working tree; {PAIRS} pairs of {seconds} s runs");
     println!("{}", HEADER.trim_end());
     let mut verdicts = vec![];
     for (workload, runs) in bench.workloads.iter().zip(&values) {
@@ -360,6 +373,7 @@ fn ab(rev: &str, pairs: usize, seconds: Option<f64>) -> Result<i32, String> {
             verdicts.push(c.verdict);
         }
     }
+    notes.iter().for_each(|n| println!("{n}"));
     for (side, failed) in ["parent", "change"].iter().zip(&failed) {
         println!("failed runs, {side}: {}", failed.len());
         failed.iter().for_each(|f| println!("  {f}"));
@@ -467,7 +481,8 @@ mod tests {
     }
 
     fn committed() -> Benchmark {
-        parse_benchmark(include_str!("../../../../BENCHMARK.json")).expect("BENCHMARK.json parses")
+        let text = include_str!("../../../../BENCHMARK.json");
+        parse_benchmark("BENCHMARK.json", text).expect("BENCHMARK.json parses")
     }
 
     #[test]
@@ -477,7 +492,30 @@ mod tests {
         assert_eq!(names, ["gpu-only", "ndp-naive", "ckpt-dyn", "sweep-fig9"]);
         assert_eq!((b.end_to_end.len(), b.run_seconds), (5, 30.0));
         let up = r#"{"run_seconds":1,"workloads":[],"end_to_end":[{"name":"x","better":"up","bound":0}]}"#;
-        assert!(parse_benchmark(up).is_err());
+        let e = parse_benchmark("r:BENCHMARK.json", up).err();
+        assert_eq!(e.as_deref(), Some(r#"r:BENCHMARK.json: x is better "up""#));
+    }
+
+    #[test]
+    fn only_what_both_sides_list_is_compared() {
+        // The change renames a workload and a metric.
+        let (parent, mut change) = (committed(), committed());
+        change.workloads[1].name = "mixed".into();
+        change.end_to_end[3].name = "setup_ms".into();
+        let notes = shared(&mut change, &parent);
+        let names: Vec<&str> = change.workloads.iter().map(|w| w.name.as_str()).collect();
+        assert_eq!(names, ["gpu-only", "ckpt-dyn", "sweep-fig9"]);
+        assert_eq!(change.end_to_end.len(), 4);
+        let expected = [
+            "workload mixed: new, not compared",
+            "workload ndp-naive: gone, not compared",
+            "metric setup_ms: new, not compared",
+            "metric setup_s: gone, not compared",
+        ];
+        assert_eq!(notes, expected);
+        let mut same = committed();
+        assert!(shared(&mut same, &parent).is_empty());
+        assert_eq!((same.workloads.len(), same.end_to_end.len()), (4, 5));
     }
 
     #[test]
@@ -512,13 +550,13 @@ mod tests {
     }
 
     #[test]
-    fn arguments_are_rev_pairs_and_seconds() {
+    fn arguments_are_rev_and_seconds() {
         let args =
             |s: &str| parse_args(&s.split_whitespace().map(String::from).collect::<Vec<_>>());
-        let ci = args("HEAD^1 --pairs 10 --seconds 0");
-        assert_eq!(ci, Ok(("HEAD^1".into(), 10, Some(0.0))));
-        assert_eq!(args("abc"), Ok(("abc".into(), 10, None)));
-        for bad in ",--pairs 3,a b,a --pairs 0,a --seconds -1,a --trace 1".split(',') {
+        assert_eq!(args("HEAD^1 --seconds 0"), Ok(("HEAD^1".into(), Some(0.0))));
+        assert_eq!(args("abc"), Ok(("abc".into(), None)));
+        // Ten pairs is a constant, so `--pairs` is refused.
+        for bad in ",--seconds 3,a b,a --seconds,a --seconds -1,a --pairs 10".split(',') {
             assert!(args(bad).is_err(), "{bad}");
         }
     }
