@@ -147,24 +147,28 @@ proptest! {
 // running.
 mod proptest_is_not_inert {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::cell::Cell;
 
-    static CASES_RUN: AtomicU32 = AtomicU32::new(0);
+    thread_local! {
+        // Per thread: the harness also runs `counted_property` as a test of
+        // its own, possibly at the same time on another thread.
+        static CASES_RUN: Cell<u32> = const { Cell::new(0) };
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn counted_property(_x in 0u64..8) {
-            CASES_RUN.fetch_add(1, Ordering::SeqCst);
+            CASES_RUN.set(CASES_RUN.get() + 1);
         }
     }
 
     #[test]
     fn proptest_bodies_actually_execute() {
-        CASES_RUN.store(0, Ordering::SeqCst);
+        CASES_RUN.set(0);
         counted_property();
         assert_eq!(
-            CASES_RUN.load(Ordering::SeqCst),
+            CASES_RUN.get(),
             64,
             "proptest! did not execute its body for every configured case — \
              property coverage is silently gone"
