@@ -2,8 +2,9 @@
 //!
 //! Usage: `bench_ab REV [--seconds S]`
 //!
-//! Builds REV's `ndp_benchmark` from `git archive REV` in a temporary
-//! directory and the working tree's in place, then runs ten alternating
+//! Builds REV's `ndp_benchmark` from `git archive REV`, then the working
+//! tree's from a copy of its files (tracked, or untracked and not ignored),
+//! both at one path in a temporary directory, and runs ten alternating
 //! parent/change pairs of every workload in `BENCHMARK.json`, S seconds per
 //! run (by default `BENCHMARK.json`'s `run_seconds`). Ten is the A/B
 //! procedure's minimum: with fewer, "nine tenths of the pairs" is one or two
@@ -269,20 +270,32 @@ fn extract(root: &Path, rev: &str, dir: &Path) -> Result<Benchmark, String> {
     parse_benchmark(&path, &text.map_err(|e| format!("{path}: {e}"))?)
 }
 
-/// Builds the benchmark of the tree at `root`, with cargo run from there,
-/// and returns the binary.
-fn build(root: &Path) -> Result<PathBuf, String> {
-    let target = root.join("ndp_benchmark/target");
+/// Copies the working tree's files, tracked or untracked but not ignored,
+/// into `dir`.
+fn copy_worktree(root: &Path, dir: &Path) -> Result<(), String> {
+    let files = git(root, &["ls-files", "-z", "-co", "--exclude-standard"])?;
+    for file in files.split('\0').filter(|f| root.join(f).is_file()) {
+        let to = dir.join(file);
+        let copied = std::fs::create_dir_all(to.parent().unwrap_or(dir))
+            .and_then(|()| std::fs::copy(root.join(file), &to));
+        copied.map_err(|e| format!("{}: {e}", to.display()))?;
+    }
+    Ok(())
+}
+
+/// Builds the benchmark of the tree at `tree` into `target`, with cargo run
+/// from `tree`, and returns the binary.
+fn build(tree: &Path, target: &Path) -> Result<PathBuf, String> {
     let status = Command::new("cargo")
-        .current_dir(root)
+        .current_dir(tree)
         .args(["build", "--release", "--offline", "--quiet"])
         .arg("--manifest-path=ndp_benchmark/Cargo.toml")
         .arg("--target-dir")
-        .arg(&target)
+        .arg(target)
         .status()
         .map_err(|e| format!("cargo: {e}"))?;
     if !status.success() {
-        return Err(format!("building {}'s benchmark failed", root.display()));
+        return Err(format!("building {}'s benchmark failed", tree.display()));
     }
     Ok(target.join("release/ndp_benchmark"))
 }
@@ -310,12 +323,20 @@ fn ab(rev: &str, seconds: Option<f64>) -> Result<i32, String> {
     let tmp = TempDir(std::env::temp_dir().join(format!("bench_ab-{}", std::process::id())));
     let _ = std::fs::remove_dir_all(&tmp.0);
     let t0 = Instant::now();
-    let notes = shared(&mut bench, &extract(&root, &rev, &tmp.0)?);
-    let metrics = &bench.end_to_end;
+    // Both sides build at one path. The benchmark's path dependencies lie
+    // outside its workspace, so cargo hashes their absolute paths into every
+    // symbol name, and the same source built at two paths gives two
+    // binaries whose code differs.
+    let tree = tmp.0.join("tree");
+    let notes = shared(&mut bench, &extract(&root, &rev, &tree)?);
+    let parent = build(&tree, &tmp.0.join("parent"))?;
+    std::fs::remove_dir_all(&tree).map_err(|e| format!("{}: {e}", tree.display()))?;
+    copy_worktree(&root, &tree)?;
     let sides = [
-        ("parent", build(&tmp.0)?, &tmp.0),
-        ("change", build(&root)?, &root),
+        ("parent", parent),
+        ("change", build(&tree, &tmp.0.join("change"))?),
     ];
+    let metrics = &bench.end_to_end;
     eprintln!("built both sides in {:.1} s", t0.elapsed().as_secs_f64());
 
     // values[workload][pair][side]: the run's metrics, None if it failed.
@@ -326,11 +347,11 @@ fn ab(rev: &str, seconds: Option<f64>) -> Result<i32, String> {
         for (w, Workload { name: workload }) in bench.workloads.iter().enumerate() {
             let (mut took, mut runs) = (vec![], [None, None]);
             for side in [pair % 2, 1 - pair % 2] {
-                let (name, bin, dir) = &sides[side];
+                let (name, bin) = &sides[side];
                 let run = format!("{name} {workload} pair {pair} seed {seed}");
                 let t0 = Instant::now();
                 let out = Command::new(bin)
-                    .current_dir(dir)
+                    .current_dir(&tmp.0)
                     .args(["--workload", workload, "--seed", &seed.to_string()])
                     .args(["--seconds", &seconds.to_string(), "--trace", "0"])
                     .output();
