@@ -78,11 +78,9 @@ fn parse_benchmark(path: &str, text: &str) -> Result<Benchmark, String> {
 /// and returns a line for each name that only one side lists.
 fn shared(change: &mut Benchmark, parent: &Benchmark) -> Vec<String> {
     let names = |b: &Benchmark| -> [Vec<String>; 2] {
-        let workloads = b.workloads.iter().map(|w| w.name.clone()).collect();
-        [
-            workloads,
-            b.end_to_end.iter().map(|m| m.name.clone()).collect(),
-        ]
+        let workloads = b.workloads.iter().map(|w| w.name.clone());
+        let metrics = b.end_to_end.iter().map(|m| m.name.clone());
+        [workloads.collect(), metrics.collect()]
     };
     let (c, p) = (names(change), names(parent));
     let mut notes = vec![];
