@@ -94,7 +94,7 @@ pub enum SimError {
     },
     /// A workload kernel failed ISA validation.
     InvalidKernel { name: String, detail: String },
-    /// The static partition verifier (Pass 1) rejected an offload-block
+    /// The static partition verifier rejected an offload-block
     /// annotation at construction time. `location` names the block and item
     /// range, `detail` the failed check.
     BadPartition {
@@ -102,10 +102,6 @@ pub enum SimError {
         location: String,
         detail: String,
     },
-    /// The static fabric-graph checker (Pass 2) found the lifted pipeline
-    /// ill-formed (unroutable kind, dead-end delivery, unpaired credit
-    /// pool, or a bounded wait-for cycle).
-    BadFabric { check: &'static str, detail: String },
     /// A checkpoint could not be restored: corrupt bytes (bad magic,
     /// checksum mismatch, truncation), an incompatible schema version, or
     /// a config/kernel fingerprint that does not match the machine the
@@ -174,9 +170,6 @@ impl fmt::Display for SimError {
                 f,
                 "kernel {kernel}: offload partition invalid at {location}: {detail}"
             ),
-            SimError::BadFabric { check, detail } => {
-                write!(f, "fabric graph invalid [{check}]: {detail}")
-            }
             SimError::BadCheckpoint { check, detail } => {
                 write!(f, "checkpoint rejected [{check}]: {detail}")
             }

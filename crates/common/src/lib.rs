@@ -11,13 +11,11 @@
 //! Chrome-trace export), and the robustness layer: structured simulation
 //! errors ([`error`]), the forward-progress watchdog and stall reports
 //! ([`watchdog`]), the protocol-invariant engine ([`invariant`]), and the
-//! deterministic fault injector ([`fault`]). The static-verification layer
-//! lives in [`analysis`] (fabric-graph checks) and [`env`] (the registry
-//! of known `NDP_*` variables and their pure, typed parsers).
+//! deterministic fault injector ([`fault`]). [`env`] is the registry of
+//! known `NDP_*` variables and their pure, typed parsers.
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod bitset;
 pub mod config;
 pub mod credit;
@@ -36,7 +34,6 @@ pub mod snap;
 pub mod stats;
 pub mod watchdog;
 
-pub use analysis::{CreditPoolSpec, FabricGraph, GraphDiag, GraphEdge, GraphNode, WakeSourceSpec};
 pub use bitset::BitSet;
 pub use config::SystemConfig;
 pub use error::{PacketSummary, SimError};
@@ -44,5 +41,5 @@ pub use fault::{FaultAction, FaultConfig, FaultInjector, FaultStats, InjectedFau
 pub use ids::{Cycle, HmcId, Node, OffloadToken, SmId, VaultId};
 pub use invariant::Invariants;
 pub use packet::{Packet, PacketKind};
-pub use port::{Component, Fabric, FabricCtx, InPort, OutPort};
+pub use port::{Fabric, FabricCtx, InPort, OutPort};
 pub use watchdog::{StallReport, Watchdog, DEFAULT_WATCHDOG_CYCLES};

@@ -10,7 +10,6 @@ use std::collections::VecDeque;
 
 use crate::ids::Cycle;
 use crate::packet::{Packet, PacketKind};
-use crate::port::Component;
 
 /// Traffic statistics of one link direction.
 #[derive(Debug, Clone, Copy, Default)]
@@ -136,9 +135,20 @@ impl Link {
     /// has finished serializing. Flights deliver in FIFO order, so this is
     /// the earliest cycle at which [`Link::pop_ready`] can succeed — the
     /// receive-side quiescence horizon (the serializer queue is the
-    /// tick-side horizon, [`Component::next_work_at`]).
+    /// tick-side horizon, [`Link::next_work_at`]).
     pub fn next_delivery_at(&self) -> Option<Cycle> {
         self.flight.front().map(|&(ready, _)| ready)
+    }
+
+    /// Tick-side quiescence horizon: `tick` with an empty serializer queue
+    /// is a pure no-op (early return before any accounting), so skipped
+    /// cycles need no replay and the horizon is simply queue occupancy.
+    pub fn next_work_at(&self, now: Cycle) -> Option<Cycle> {
+        if self.queue.is_empty() {
+            None
+        } else {
+            Some(now)
+        }
     }
 }
 
@@ -152,23 +162,6 @@ crate::snap_value!(LinkStats {
 
 // The serializer queue carries bit-exact partial-send remainders.
 crate::snap_state!(Link { queue, flight, stats; derived: bytes_per_cycle, latency, capacity });
-
-impl Component for Link {
-    fn tick(&mut self, now: Cycle) {
-        Link::tick(self, now);
-    }
-
-    // `tick` with an empty serializer queue is a pure no-op (early return
-    // before any accounting), so skipped cycles need no `note_skipped`
-    // replay and the horizon is simply queue occupancy.
-    fn next_work_at(&self, now: Cycle) -> Option<Cycle> {
-        if self.queue.is_empty() {
-            None
-        } else {
-            Some(now)
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,4 @@
-//! Simulation fabric: typed ports, a component tick trait, and a
-//! declarative routing pipeline.
+//! Simulation fabric: typed ports and a declarative routing pipeline.
 //!
 //! Every structural queue in the simulator is one of two port types:
 //!
@@ -213,31 +212,6 @@ impl InPort {
 
 crate::snap_state!(InPort { q; derived: latency, capacity });
 
-/// A structural component advanced once per fabric cycle.
-pub trait Component {
-    fn tick(&mut self, now: Cycle);
-
-    /// Quiescence horizon: the earliest cycle at or after `now` at which
-    /// ticking this component could do observable work. `None` means the
-    /// component is drained (no queued, in-flight, or scheduled work);
-    /// `Some(c)` with `c > now` means it is provably idle until `c`.
-    ///
-    /// The contract is *conservative*: a horizon may be earlier than the
-    /// true next-work cycle (a spurious wake costs one exact, idle tick)
-    /// but must never be later — the event-driven core skips ticks on its
-    /// strength. The default `Some(now)` ("work every cycle") opts a
-    /// component out of skipping entirely.
-    fn next_work_at(&self, now: Cycle) -> Option<Cycle> {
-        Some(now)
-    }
-
-    /// The fabric proved this component quiescent and elided `k`
-    /// consecutive ticks. Components whose `tick` unconditionally advances
-    /// internal clocks or accumulates statistics must replay that
-    /// bookkeeping here so a skipped run is bit-identical to a ticked one.
-    fn note_skipped(&mut self, _k: u64) {}
-}
-
 /// The machine a [`Fabric`] executes over: port lookup, the routing table,
 /// acceptance (backpressure), component ticking, side channels, and the one
 /// packet-observation hook.
@@ -311,11 +285,19 @@ pub trait FabricCtx {
     }
 
     /// Quiescence horizon of pipeline stage `idx`: the earliest cycle at
-    /// or after `now` at which running the stage could do observable work
-    /// (`None` = the stage is drained). Same conservative contract as
-    /// [`Component::next_work_at`] — early is a harmless spurious wake,
-    /// late is a correctness bug. The default `Some(now)` makes every
-    /// stage "busy now", i.e. never skipped.
+    /// or after `now` at which running the stage could do observable work.
+    /// `None` means the stage is drained (no queued, in-flight, or
+    /// scheduled work); `Some(c)` with `c > now` means it is provably idle
+    /// until `c`.
+    ///
+    /// The contract is *conservative*: a horizon may be earlier than the
+    /// true next-work cycle (a spurious wake costs one exact, idle run)
+    /// but must never be later — the event-driven core skips stages on its
+    /// strength. A component whose idle tick advances internal clocks or
+    /// accumulates statistics must replay that bookkeeping for the skipped
+    /// cycles, so a skipped run is bit-identical to a ticked one. The
+    /// default `Some(now)` makes every stage "busy now", i.e. never
+    /// skipped.
     fn stage_horizon(&self, now: Cycle, _idx: usize) -> Option<Cycle> {
         Some(now)
     }
@@ -448,7 +430,7 @@ impl<C: FabricCtx> Fabric<'_, C> {
             // elided. `stage_done(Skipped)` still fires so (a) the perf
             // identity `invocations + gated + skipped == cycles` holds and
             // (b) the ctx can replay any unconditional per-tick bookkeeping
-            // (see `Component::note_skipped`).
+            // (see `FabricCtx::stage_horizon`).
             if skip && !matches!(ctx.stage_horizon(now, idx), Some(c) if c <= now) {
                 ctx.stage_done(now, idx, StageOutcome::Skipped);
                 continue;

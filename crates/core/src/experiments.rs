@@ -25,9 +25,16 @@ pub const DEFAULT_MAX_CYCLES: u64 = 40_000_000;
 pub fn run_workload(w: Workload, cfg: SystemConfig, scale: &Scale, max_cycles: u64) -> RunResult {
     let opts = RunOptions::from_env().unwrap_or_else(|e| panic!("{e}"));
     let kernel = Arc::new(compile(&w.build(scale), &CompilerConfig::default()));
-    let fresh = |cfg, kernel| {
-        System::build(cfg, kernel, &opts).unwrap_or_else(|e| panic!("{}: {e}", w.name()))
-    };
+    // Names the cell as `Plan::run` names a timed-out one, so a failure in
+    // a many-cell sweep says which configuration it was.
+    let cell = format!(
+        "{} under {:?} (config {:016x})",
+        w.name(),
+        cfg.offload,
+        checkpoint::config_fingerprint(&cfg)
+    );
+    let fresh =
+        |cfg, kernel| System::build(cfg, kernel, &opts).unwrap_or_else(|e| panic!("{cell}: {e}"));
     // A resume source continues an interrupted run from its checkpoint
     // instead of starting fresh; fingerprint checks guarantee the file
     // matches this exact (workload, config) cell.
@@ -43,14 +50,14 @@ pub fn run_workload(w: Workload, cfg: SystemConfig, scale: &Scale, max_cycles: u
                 Err(SimError::BadCheckpoint {
                     check: "kernel", ..
                 }) => fresh(cfg, kernel),
-                Err(e) => panic!("{}: resume from {}: {e}", w.name(), path.display()),
+                Err(e) => panic!("{cell}: resume from {}: {e}", path.display()),
             }
         }
         None => fresh(cfg, kernel),
     };
     let mut r = sys
         .run(max_cycles)
-        .unwrap_or_else(|e| panic!("{}/{:?}: {e}", w.name(), "experiment"));
+        .unwrap_or_else(|e| panic!("{cell}: {e}"));
     r.workload = w.name().to_string();
     r
 }

@@ -10,15 +10,15 @@
 //! * [`options::RunOptions`] is everything about a run that is not the
 //!   machine: execution mode, checks, faults, observation, checkpoints.
 //! * [`experiments`] regenerates every table and figure of the evaluation.
-//! * [`fabric_model`] lifts the executable fabric pipeline into a static
-//!   graph for ndp-lint's Pass 2 checks; `System` construction runs both
-//!   static verification passes and rejects ill-formed machines.
+//!
+//! `System` construction runs the static partition verifier
+//! (`ndp_isa::verify_blocks`) and rejects a kernel whose offload-block
+//! annotations disagree with its program text.
 
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod experiments;
-pub mod fabric_model;
 pub mod fig5;
 pub mod offload;
 pub mod options;
@@ -26,7 +26,6 @@ pub mod result;
 pub mod system;
 pub mod table;
 
-pub use fabric_model::fabric_graph;
 pub use offload::OffloadController;
 pub use options::RunOptions;
 pub use result::RunResult;

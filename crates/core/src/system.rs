@@ -14,7 +14,7 @@ use ndp_common::link::Link;
 use ndp_common::obs::perf::{Perf, StageOutcome};
 use ndp_common::obs::{Obs, TraceSite};
 use ndp_common::packet::{Packet, PacketKind};
-use ndp_common::port::{Component, Edge, Fabric, FabricCtx, Op, Stage};
+use ndp_common::port::{Edge, Fabric, FabricCtx, Op, Stage};
 use ndp_common::snap::{self, SnapError, SnapReader, SnapState};
 use ndp_common::watchdog::{
     CreditBalance, QueueDepth, StallReport, Watchdog, DEFAULT_WATCHDOG_CYCLES,
@@ -110,32 +110,21 @@ impl System {
         Self::try_with_kernel(cfg, kernel).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Static verification gate of every construction path: Pass 1 diffs
-    /// each offload block's annotations against the program text, Pass 2
-    /// checks the lifted fabric graph. The first finding comes back as a
-    /// [`SimError::BadPartition`] / [`SimError::BadFabric`].
-    fn verify_static(cfg: &SystemConfig, kernel: &CompiledKernel) -> Result<(), SimError> {
-        if let Some(d) = ndp_isa::verify_blocks(&kernel.program, &kernel.blocks)
+    /// Static verification gate of every construction path: diff each
+    /// offload block's annotations against the program text. The first
+    /// finding comes back as a [`SimError::BadPartition`].
+    fn verify_static(kernel: &CompiledKernel) -> Result<(), SimError> {
+        match ndp_isa::verify_blocks(&kernel.program, &kernel.blocks)
             .into_iter()
             .next()
         {
-            return Err(SimError::BadPartition {
+            Some(d) => Err(SimError::BadPartition {
                 kernel: kernel.program.name.to_string(),
                 location: d.location(),
                 detail: d.detail,
-            });
+            }),
+            None => Ok(()),
         }
-        if let Some(d) = crate::fabric_model::fabric_graph(cfg)
-            .check()
-            .into_iter()
-            .next()
-        {
-            return Err(SimError::BadFabric {
-                check: d.check,
-                detail: d.detail,
-            });
-        }
-        Ok(())
     }
 
     /// [`System::build`] with the run options of the process environment
@@ -148,15 +137,14 @@ impl System {
     }
 
     /// Build a system for one compiled kernel under one configuration,
-    /// run as `opts` says. Both static verification passes (ndp-lint's
-    /// Pass 1 over the offload blocks, Pass 2 over the lifted fabric
-    /// pipeline) run first; a rejection is the error.
+    /// run as `opts` says. The static partition verifier runs first over
+    /// the offload blocks; a rejection is the error.
     pub fn build(
         cfg: SystemConfig,
         kernel: Arc<CompiledKernel>,
         opts: &RunOptions,
     ) -> Result<Self, SimError> {
-        Self::verify_static(&cfg, &kernel)?;
+        Self::verify_static(&kernel)?;
         let ndp_on = cfg.offload != OffloadPolicy::Never;
         let blocks = Arc::new(kernel.blocks.clone());
         let bpc = cfg.bytes_per_cycle(cfg.gpu.link_gbps);
@@ -236,8 +224,7 @@ impl System {
         self.perf.cycle_begin();
         Fabric { stages: PIPELINE }.tick(self, now)?;
         self.now += 1;
-        // Stack interiors tick through the infallible `Component` trait;
-        // poll their parked errors.
+        // Stack interiors tick infallibly; poll their parked errors.
         for st in &mut self.stacks {
             if let Some(e) = st.take_error() {
                 return Err(e);
@@ -459,7 +446,7 @@ impl System {
         match &PIPELINE[idx].op {
             Op::Tick(Comp::Stacks) => {
                 for st in &mut self.stacks {
-                    Component::note_skipped(st, k);
+                    st.note_skipped(k);
                 }
             }
             Op::Tick(Comp::Nsus) => {
@@ -1062,7 +1049,7 @@ const fn edge(tx: Tx, site: Option<TraceSite>) -> Op<System> {
 /// order. The stage order preserves the original hand-rolled phase order
 /// exactly (SMs → slices → up links → stacks → memnet → NSUs → down links
 /// → slice responses → controller).
-pub(crate) const PIPELINE: &[Stage<System>] = &[
+const PIPELINE: &[Stage<System>] = &[
     stage(Op::Tick(Comp::Sms)),
     stage(edge(Tx::SmOut, Some(TraceSite::SmEject))),
     stage(Op::Tick(Comp::Slices)),
@@ -1241,9 +1228,10 @@ impl FabricCtx for System {
 
     fn tick_comp(&mut self, now: Cycle, comp: Comp) {
         // Per-component skip: a stage runs whenever *any* member has work,
-        // but members that are individually quiescent take the (cheaper)
-        // `note_skipped` path instead of a full tick. Same conservative
-        // horizon contract as stage-level skipping, at member granularity.
+        // but members that are individually quiescent are not ticked
+        // (stacks and NSUs replay their idle bookkeeping through
+        // `note_skipped` instead). Same conservative horizon contract as
+        // stage-level skipping, at member granularity.
         // SMs not due are not touched at all: they book the cycles they sat
         // out when next ticked or delivered to.
         let skip = self.skip;
@@ -1258,56 +1246,48 @@ impl FabricCtx for System {
             }
             Comp::Slices => {
                 for s in &mut self.slices {
-                    if skip && Component::next_work_at(s, now).is_none_or(|c| c > now) {
-                        Component::note_skipped(s, 1);
-                        continue;
-                    }
-                    Component::tick(s, now);
-                    for (block, hit) in s.block_events.drain(..) {
-                        self.ctrl.note_l2_event(block, hit);
+                    if !skip || s.next_work_at(now).is_some_and(|c| c <= now) {
+                        s.tick(now);
+                        for (block, hit) in s.block_events.drain(..) {
+                            self.ctrl.note_l2_event(block, hit);
+                        }
                     }
                 }
             }
             Comp::UpLinks => {
                 for l in &mut self.up {
-                    if skip && Component::next_work_at(l, now).is_none_or(|c| c > now) {
-                        Component::note_skipped(l, 1);
-                    } else {
-                        Component::tick(l, now);
+                    if !skip || l.next_work_at(now).is_some_and(|c| c <= now) {
+                        l.tick(now);
                     }
                 }
             }
             Comp::Stacks => {
                 for st in &mut self.stacks {
-                    if !skip || Component::next_work_at(st, now) == Some(now) {
-                        Component::tick(st, now);
+                    if !skip || st.next_work_at(now) == Some(now) {
+                        st.tick(now);
                     } else {
-                        Component::note_skipped(st, 1);
+                        st.note_skipped(1);
                     }
                 }
             }
-            Comp::Net => Component::tick(&mut self.net, now),
+            Comp::Net => self.net.tick(now),
             Comp::Nsus => {
                 // `Comp::Nsus` only runs on open NSU-clock cycles, so the
                 // member-level probe is in the NSU's own domain: delta 0 =
-                // work on this open cycle.
+                // work on this open cycle. A skipped NSU replays its clock
+                // and occupancy accounting.
                 for n in &mut self.nsus {
                     if !skip || n.next_work_delta() == Some(0) {
-                        Component::tick(n, now);
+                        n.tick(now);
                     } else {
-                        // Inherent method: replays the NSU clock and
-                        // occupancy accounting (the Component default is a
-                        // no-op).
                         n.note_skipped(1);
                     }
                 }
             }
             Comp::DownLinks => {
                 for l in &mut self.down {
-                    if skip && Component::next_work_at(l, now).is_none_or(|c| c > now) {
-                        Component::note_skipped(l, 1);
-                    } else {
-                        Component::tick(l, now);
+                    if !skip || l.next_work_at(now).is_some_and(|c| c <= now) {
+                        l.tick(now);
                     }
                 }
             }
@@ -1429,22 +1409,16 @@ impl FabricCtx for System {
                     .copied()
                     .min()
                     .filter(|&c| c != Cycle::MAX),
-                Comp::Slices => {
-                    min_over(self.slices.iter().map(|s| Component::next_work_at(s, now)))
-                }
-                Comp::UpLinks => min_over(self.up.iter().map(|l| Component::next_work_at(l, now))),
-                Comp::Stacks => {
-                    min_over(self.stacks.iter().map(|s| Component::next_work_at(s, now)))
-                }
-                Comp::Net => Component::next_work_at(&self.net, now),
+                Comp::Slices => min_over(self.slices.iter().map(|s| s.next_work_at(now))),
+                Comp::UpLinks => min_over(self.up.iter().map(|l| l.next_work_at(now))),
+                Comp::Stacks => min_over(self.stacks.iter().map(|s| s.next_work_at(now))),
+                Comp::Net => self.net.next_work_at(now),
                 Comp::Nsus => min_over(
                     self.nsus
                         .iter()
                         .map(|n| n.next_work_delta().and_then(&nsu_open)),
                 ),
-                Comp::DownLinks => {
-                    min_over(self.down.iter().map(|l| Component::next_work_at(l, now)))
-                }
+                Comp::DownLinks => min_over(self.down.iter().map(|l| l.next_work_at(now))),
             },
             // Edge horizons are occupancy-driven: a queued head means work
             // now; latency-stamped lanes (links, the slice→SM return path)

@@ -548,21 +548,6 @@ impl Sm {
         }
     }
 
-    /// Internal structures whose updates can create work for a future tick.
-    /// ndp-lint's quiescence pass cross-checks this list against the wake
-    /// sources declared on the `tick:sms` skip spec: forgetting to declare
-    /// a new one (or declaring a phantom) is a lint error, because
-    /// `next_work_at` must observe every structure that can hold deferred
-    /// work.
-    pub const WAKE_SOURCES: &'static [&'static str] = &[
-        "sm:launch_queue",
-        "sm:ndp_buffers",
-        "sm:sched_ready",
-        "sm:wake_wheel",
-        "sm:retry_set",
-        "sm:promote_set",
-    ];
-
     /// Brute-force reference horizon: the pre-ready-set implementation that
     /// rescans every slot. Kept as the oracle the property suite diffs the
     /// incremental structures against. Parked slots are taken from the
@@ -1820,15 +1805,16 @@ impl Sm {
         (self.buffers.pending_len(), self.buffers.ready_len())
     }
 
-    /// Quiescence horizon (see [`ndp_common::port::Component::next_work_at`]):
-    /// the earliest cycle a tick could spawn, reserve, issue, promote, or
-    /// eject anything. O(1): every act-now condition is a maintained
-    /// membership set (see the `WAKE_SOURCES` contract), and the only
-    /// deferrals — dependency-stalled warps with a known wake cycle — sit
-    /// in the wake-wheel, whose first key is the exact horizon. Warps
-    /// blocked on a barrier or an offload ACK wake via packet delivery or
-    /// a sibling warp's issue, both visible to other horizons, so they
-    /// contribute `None`.
+    /// Quiescence horizon (the contract is
+    /// [`ndp_common::port::FabricCtx::stage_horizon`]'s): the earliest
+    /// cycle a tick could spawn, reserve, issue, promote, or eject
+    /// anything. O(1): every act-now condition is a maintained membership
+    /// set (the launch queue, the NDP buffers, `sched_ready`, `retry_set`
+    /// and `promote_set`), and the only deferrals — dependency-stalled
+    /// warps with a known wake cycle — sit in the wake-wheel, whose first
+    /// key is the exact horizon. Warps blocked on a barrier or an offload
+    /// ACK wake via packet delivery or a sibling warp's issue, both visible
+    /// to other horizons, so they contribute `None`.
     pub fn next_work_at(&self, now: Cycle) -> Option<Cycle> {
         if !self.launch_queue.is_empty()
             || !self.buffers.is_empty()

@@ -9,7 +9,7 @@
 use ndp_common::config::SystemConfig;
 use ndp_common::ids::{Cycle, Node};
 use ndp_common::packet::{Packet, PacketKind, NO_BLOCK};
-use ndp_common::port::{Component, InPort, OutPort};
+use ndp_common::port::{InPort, OutPort};
 use ndp_common::stats::CacheStats;
 
 use crate::cache::{Cache, Probe};
@@ -101,6 +101,19 @@ impl L2Slice {
             && self.from_mem.is_empty()
             && self.to_mem.is_empty()
             && self.to_sm.is_empty()
+    }
+
+    /// Quiescence horizon: memory-side arrivals are processed same-cycle;
+    /// SM-side arrivals wait for their interconnect latency stamp. `to_sm`
+    /// is deliberately not a wake source here — draining it is the
+    /// slice→SM edge's horizon, not the tick's. A backpressured or
+    /// not-yet-ready tick is a pure no-op, so skipped cycles need no
+    /// replay.
+    pub fn next_work_at(&self, now: Cycle) -> Option<Cycle> {
+        if !self.from_mem.is_empty() {
+            return Some(now);
+        }
+        self.in_q.next_ready()
     }
 
     pub fn tick(&mut self, now: Cycle) {
@@ -254,24 +267,6 @@ ndp_common::snap_state!(L2Slice {
     cache, in_q, from_mem, to_mem, to_sm, writes_outstanding, block_events, ondie_bytes;
     derived: id, ondie_lat, l2_lat, line_bytes, throughput, rdf_probes_cache
 });
-
-impl Component for L2Slice {
-    fn tick(&mut self, now: Cycle) {
-        L2Slice::tick(self, now);
-    }
-
-    // Memory-side arrivals are processed same-cycle; SM-side arrivals wait
-    // for their interconnect latency stamp. `to_sm` is deliberately not a
-    // wake source here — draining it is the slice→SM edge's horizon, not
-    // the tick's. A backpressured or not-yet-ready tick is a pure no-op,
-    // so no `note_skipped` replay is needed.
-    fn next_work_at(&self, now: Cycle) -> Option<Cycle> {
-        if !self.from_mem.is_empty() {
-            return Some(now);
-        }
-        self.in_q.next_ready()
-    }
-}
 
 /// Vault index of an address (line-interleaved, 16 vaults).
 fn vault_of(addr: u64, line_bytes: u32) -> u8 {

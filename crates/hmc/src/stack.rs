@@ -8,7 +8,7 @@ use ndp_common::error::{PacketSummary, SimError};
 use ndp_common::ids::{Cycle, HmcId, Node};
 use ndp_common::memmap::MemMap;
 use ndp_common::packet::{Packet, PacketKind};
-use ndp_common::port::{Component, OutPort};
+use ndp_common::port::OutPort;
 use ndp_common::stats::DramStats;
 use ndp_dram::{VaultController, VaultRequest};
 
@@ -35,8 +35,8 @@ pub struct HmcStack {
     /// Bytes moved across the logic-layer crossbar (Fig. 10 "Intra-HMC NoC"
     /// energy domain).
     pub intra_bytes: u64,
-    /// First protocol violation observed inside the stack. `Component::tick`
-    /// is infallible, so violations are parked here and polled by the system
+    /// First protocol violation observed inside the stack. `tick` is
+    /// infallible, so violations are parked here and polled by the system
     /// loop via [`HmcStack::take_error`].
     pending_err: Option<SimError>,
 
@@ -89,14 +89,6 @@ impl HmcStack {
             done_min: None,
         }
     }
-
-    /// Internal wake sources the quiescence horizon must observe — lint's
-    /// skip-spec cross-check for `tick:stacks` (see `Sm::WAKE_SOURCES`).
-    pub const WAKE_SOURCES: &'static [&'static str] = &[
-        "stack:pending_vaults",
-        "stack:queued_vaults",
-        "stack:done_min",
-    ];
 
     /// Rebuild the derived vault activity sets from the vault controllers
     /// (restore path).
@@ -352,26 +344,11 @@ impl HmcStack {
             + self.to_nsu.len()
             + self.to_memnet.len()
     }
-}
 
-// A `pending_err` has been polled by the system loop before any checkpoint
-// boundary, so a fresh stack's `None` is the restored value.
-ndp_common::snap_state!(HmcStack {
-    vaults [each], vault_pending [each], to_gpu, to_nsu, to_memnet, acc_units, dram_now,
-    intra_bytes;
-    derived: id, memmap, line_bytes, burst_bytes, sm_period_units, tck_units, pending_err,
-        pending_vaults, queued_vaults, done_vaults, done_min;
-    after: rebuild_activity
-});
-
-impl Component for HmcStack {
-    fn tick(&mut self, now: Cycle) {
-        HmcStack::tick(self, now);
-    }
-
-    // Output ports are deliberately not wake sources: draining them is the
-    // stack→{gpu,nsu,memnet} edges' horizon, and `tick` never reads them.
-    fn next_work_at(&self, now: Cycle) -> Option<Cycle> {
+    /// Quiescence horizon. Output ports are deliberately not wake sources:
+    /// draining them is the stack→{gpu,nsu,memnet} edges' horizon, and
+    /// `tick` never reads them.
+    pub fn next_work_at(&self, now: Cycle) -> Option<Cycle> {
         if !self.pending_vaults.is_empty() || !self.queued_vaults.is_empty() {
             return Some(now);
         }
@@ -394,16 +371,27 @@ impl Component for HmcStack {
         Some(now + k - 1)
     }
 
-    // `tick` unconditionally advances the clock-crossing accumulator, so a
-    // skipped cycle must replay exactly that. The elided DRAM cycles are
-    // safe: every vault queue was empty (`pick` is a no-op) and the
-    // horizon guarantees no completion became drainable in the span.
-    fn note_skipped(&mut self, k: u64) {
+    /// The fabric elided `k` ticks. `tick` unconditionally advances the
+    /// clock-crossing accumulator, so a skipped cycle must replay exactly
+    /// that. The elided DRAM cycles are safe: every vault queue was empty
+    /// (`pick` is a no-op) and the horizon guarantees no completion became
+    /// drainable in the span.
+    pub fn note_skipped(&mut self, k: u64) {
         let total = self.acc_units + k * self.sm_period_units;
         self.dram_now += total / self.tck_units;
         self.acc_units = total % self.tck_units;
     }
 }
+
+// A `pending_err` has been polled by the system loop before any checkpoint
+// boundary, so a fresh stack's `None` is the restored value.
+ndp_common::snap_state!(HmcStack {
+    vaults [each], vault_pending [each], to_gpu, to_nsu, to_memnet, acc_units, dram_now,
+    intra_bytes;
+    derived: id, memmap, line_bytes, burst_bytes, sm_period_units, tck_units, pending_err,
+        pending_vaults, queued_vaults, done_vaults, done_min;
+    after: rebuild_activity
+});
 
 #[cfg(test)]
 mod tests {
@@ -658,9 +646,9 @@ mod tests {
         let mut now: Cycle = 0;
         let mut elided = 0u64;
         while now < END {
-            match Component::next_work_at(&skipped, now) {
+            match skipped.next_work_at(now) {
                 Some(h) if h <= now => {
-                    Component::tick(&mut skipped, now);
+                    skipped.tick(now);
                     if skipped_out_at.is_none() && !skipped.to_gpu.is_empty() {
                         skipped_out_at = Some(now);
                     }
@@ -668,12 +656,12 @@ mod tests {
                 }
                 Some(h) => {
                     let j = h.min(END);
-                    Component::note_skipped(&mut skipped, j - now);
+                    skipped.note_skipped(j - now);
                     elided += j - now;
                     now = j;
                 }
                 None => {
-                    Component::note_skipped(&mut skipped, END - now);
+                    skipped.note_skipped(END - now);
                     elided += END - now;
                     now = END;
                 }

@@ -10,8 +10,8 @@
 //! divergent address streams.
 //!
 //! [`verify`] statically re-derives every offload-block annotation from the
-//! program text and diffs it against the stored block (Pass 1 of the
-//! `ndp-lint` verification suite).
+//! program text and diffs it against the stored block; every system
+//! construction runs it.
 
 #![forbid(unsafe_code)]
 

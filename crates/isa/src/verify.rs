@@ -1,4 +1,4 @@
-//! Static offload-partition verifier (Pass 1 of the verification suite).
+//! Static offload-partition verifier, run by every system construction.
 //!
 //! [`OffloadBlock`] annotations — instruction roles, live-in/live-out
 //! transfer sets, the generated NSU code — decide what the partitioned
@@ -10,7 +10,7 @@
 //! against the stored block, so those bug classes surface at build time with
 //! a named location instead of at cycle two million.
 //!
-//! What Pass 1 proves:
+//! What it proves:
 //! - every instruction's role matches both its shape (loads are RDF, stores
 //!   are WTA) and the backward address-demand slice (§4.1.1);
 //! - no GPU-side work (address calculation, address registers of memory

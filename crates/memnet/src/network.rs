@@ -4,7 +4,7 @@
 use ndp_common::ids::{Cycle, HmcId};
 use ndp_common::link::Link;
 use ndp_common::packet::Packet;
-use ndp_common::port::{Component, OutPort};
+use ndp_common::port::OutPort;
 
 use crate::topology::Topology;
 
@@ -154,20 +154,13 @@ impl MemNetwork {
     pub fn has_delivered(&self) -> bool {
         self.delivered.iter().any(|q| !q.is_empty())
     }
-}
 
-ndp_common::snap_state!(MemNetwork { links [grid], delivered [each]; derived: topo });
-
-impl Component for MemNetwork {
-    fn tick(&mut self, now: Cycle) {
-        MemNetwork::tick(self, now);
-    }
-
-    // A serializing link works every cycle; an all-in-flight network is
-    // idle until the earliest delivery; a drained network is quiescent.
-    // An idle tick touches nothing (empty links early-return, no ready
-    // flights to forward), so no `note_skipped` replay is needed.
-    fn next_work_at(&self, now: Cycle) -> Option<Cycle> {
+    /// Quiescence horizon: a serializing link works every cycle; an
+    /// all-in-flight network is idle until the earliest delivery; a
+    /// drained network is quiescent. An idle tick touches nothing (empty
+    /// links early-return, no ready flights to forward), so skipped cycles
+    /// need no replay.
+    pub fn next_work_at(&self, now: Cycle) -> Option<Cycle> {
         let mut horizon: Option<Cycle> = None;
         for l in self.links.iter().flatten() {
             if let Some(c) = l.next_work_at(now) {
@@ -180,6 +173,8 @@ impl Component for MemNetwork {
         horizon
     }
 }
+
+ndp_common::snap_state!(MemNetwork { links [grid], delivered [each]; derived: topo });
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@ use ndp_common::error::{PacketSummary, SimError};
 use ndp_common::ids::{Cycle, HmcId, Node, OffloadId, OffloadToken};
 use ndp_common::memmap::MemMap;
 use ndp_common::packet::{LineAccess, Packet, PacketKind};
-use ndp_common::port::{Component, OutPort};
+use ndp_common::port::OutPort;
 use ndp_common::watchdog::TokenInFlight;
 use ndp_isa::offload::{NsuInstr, OffloadBlock};
 
@@ -509,12 +509,6 @@ ndp_common::snap_state!(Nsu {
     derived: id, blocks, pc_to_block, cmd_capacity, read_capacity, write_capacity, memmap,
         sfu_lat
 });
-
-impl Component for Nsu {
-    fn tick(&mut self, now: Cycle) {
-        Nsu::tick(self, now);
-    }
-}
 
 #[cfg(test)]
 mod tests {

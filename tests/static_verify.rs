@@ -1,18 +1,19 @@
-//! Mutation tests for the static verification suite (`ndp-lint`).
+//! Mutation tests for the static partition verifier
+//! (`ndp_isa::verify_blocks`, run by every `System::build`).
 //!
-//! Pass 1 and Pass 2 are only trustworthy if they actually *catch* broken
+//! The verifier is only trustworthy if it actually *catches* broken
 //! annotations — a verifier that accepts everything would pass every clean
-//! check. So: take the real compiled workloads and the real lifted fabric
-//! graph, corrupt one fact at a time (a live set, an instruction role, a
-//! pipeline edge), and require a named diagnostic for each corruption —
-//! plus a zero-diagnostic run over everything unmodified.
+//! check. So: take the real compiled workloads, corrupt one fact at a time
+//! (a live set, an instruction role), and require a named diagnostic for
+//! each corruption — plus a zero-diagnostic run over every workload
+//! unmodified, and construction surfacing the same findings.
 
 use std::sync::Arc;
 
 use ndp_common::config::SystemConfig;
 use ndp_common::SimError;
 use ndp_compiler::{compile, CompiledKernel, CompilerConfig};
-use ndp_core::{fabric_graph, System};
+use ndp_core::System;
 use ndp_isa::{verify_blocks, InstrRole, Reg};
 use ndp_workloads::{Scale, Workload, WORKLOADS};
 
@@ -38,21 +39,6 @@ fn all_builtin_workloads_verify_clean() {
             let diags = verify_blocks(&k.program, &k.blocks);
             assert!(diags.is_empty(), "{}: {diags:?}", w.name());
         }
-    }
-}
-
-#[test]
-fn all_config_presets_lift_to_clean_graphs() {
-    for (name, cfg) in [
-        ("baseline", SystemConfig::baseline()),
-        ("baseline_more_core", SystemConfig::baseline_more_core()),
-        ("naive_ndp", SystemConfig::naive_ndp()),
-        ("ndp_static", SystemConfig::ndp_static(0.5)),
-        ("ndp_dynamic", SystemConfig::ndp_dynamic()),
-        ("ndp_dynamic_cache", SystemConfig::ndp_dynamic_cache()),
-    ] {
-        let diags = fabric_graph(&cfg).check();
-        assert!(diags.is_empty(), "{name}: {diags:?}");
     }
 }
 
@@ -132,36 +118,6 @@ fn load_annotated_as_store_is_caught() {
             .iter()
             .any(|d| d.detail.contains("misclassified across the RDF/WTA split")),
         "no RDF/WTA diagnostic in {diags:?}"
-    );
-}
-
-// ------------------------------------------------- mutation: fabric graph
-
-#[test]
-fn dropped_pipeline_edge_is_caught_by_name() {
-    let mut g = fabric_graph(&SystemConfig::ndp_dynamic());
-    assert!(g.remove_edge("stack_to_nsu"), "edge exists before removal");
-    let diags = g.check();
-    let hit = diags
-        .iter()
-        .find(|d| d.check == "routing")
-        .unwrap_or_else(|| panic!("no routing diagnostic in {diags:?}"));
-    assert!(
-        hit.detail.contains("OffloadCmd"),
-        "diag names the stranded packet kind: {hit}"
-    );
-}
-
-#[test]
-fn dropped_credit_release_site_is_caught() {
-    let mut g = fabric_graph(&SystemConfig::ndp_dynamic());
-    assert!(g.remove_site("side:credits"));
-    let diags = g.check();
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.check == "credit" && d.detail.contains("side:credits")),
-        "no credit-pairing diagnostic in {diags:?}"
     );
 }
 
