@@ -73,10 +73,9 @@ pub fn path(get: impl Fn(&str) -> Option<String>, var: &str) -> Option<PathBuf> 
 
 /// Every environment variable the simulator and its harness understand
 /// (README.md describes each). Any other `NDP_`-prefixed name is refused.
-pub const KNOWN: [&str; 11] = [
+pub const KNOWN: [&str; 10] = [
     // Run options, read by `ndp_core::RunOptions::from_env`.
     "NDP_NO_SKIP",
-    "NDP_DEEP_INVARIANTS",
     "NDP_PERF",
     "NDP_CHECKPOINT_EVERY",
     "NDP_CHECKPOINT_PATH",
@@ -243,6 +242,7 @@ mod tests {
             "NDP_WATCHDOG",
             "NDP_FAULT_DROP",
             "NDP_PERF_TOL",
+            "NDP_DEEP_INVARIANTS",
         ] {
             assert_eq!(check_names(names(&[stale])).unwrap_err().var, stale);
         }

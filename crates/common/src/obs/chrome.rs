@@ -22,8 +22,9 @@ use super::{HistogramSummary, ObsReport, TraceSite};
 
 /// Version stamp of the flat metrics document. Bumped to 2 when the field
 /// itself was introduced (v1 documents carry no version); 3 added
-/// `events_dropped`.
-pub const METRICS_SCHEMA_VERSION: u32 = 3;
+/// `events_dropped`; 4 dropped `txn.orphan_acks`, since an orphan ACK is a
+/// protocol violation that ends the run.
+pub const METRICS_SCHEMA_VERSION: u32 = 4;
 
 const PID_PROTOCOL: u32 = 0;
 const PID_OCCUPANCY: u32 = 1;
@@ -156,7 +157,6 @@ pub struct TxnCounts {
     pub issued: u64,
     pub completed: u64,
     pub inflight: u64,
-    pub orphan_acks: u64,
 }
 
 /// The retained samples of one occupancy series.
@@ -226,7 +226,6 @@ impl ObsReport {
                 issued: self.txn_issued,
                 completed: self.txn_completed,
                 inflight: self.txn_inflight,
-                orphan_acks: self.orphan_acks,
             },
             latency_cycles: self
                 .latency
@@ -292,6 +291,7 @@ mod tests {
     use super::super::{Obs, TraceSite};
     use super::*;
     use crate::ids::{Node, OffloadId, OffloadToken};
+    use crate::invariant::Invariants;
     use crate::packet::{Packet, PacketKind};
 
     fn report_with_data() -> ObsReport {
@@ -315,10 +315,12 @@ mod tests {
                 n_stores: 1,
             },
         );
+        let mut inv = Invariants::default();
         o.on_packet(5, TraceSite::SmEject, &cmd);
+        inv.on_packet(5, TraceSite::SmEject, &cmd);
         o.offer_sample("nsu_read_buf", 4.0);
         o.offer_sample("nsu_read_buf", 7.0);
-        o.report()
+        o.report(&inv)
     }
 
     /// Serialize `doc` and parse the text back into its own type.

@@ -5,8 +5,9 @@
 //!
 //! * [`Histogram`] — log-bucketed latency distribution (p50/p90/p99/max);
 //! * [`TimeSeries`] — bounded fixed-interval occupancy sampler;
-//! * [`TxnTracker`] — per-offload-transaction lifecycle latencies keyed by
-//!   `OffloadToken` (CMD issue → RDF drain → NSU execute → ACK return);
+//! * [`TxnTracker`] — latency histograms of the offload transactions the
+//!   invariant engine's token table completes (CMD issue → RDF drain → NSU
+//!   execute → ACK return);
 //! * [`EventRing`] — the single protocol-event stream (also renders the
 //!   Fig. 2 walkthrough, [`EventRing::render_instance`]);
 //! * [`ObsReport`] — the serializable outcome, with a Chrome trace
@@ -38,7 +39,8 @@ pub use txn::TxnTracker;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::Cycle;
-use crate::packet::{Packet, PacketKind};
+use crate::invariant::{Invariants, Txn};
+use crate::packet::Packet;
 
 /// Cycles between occupancy samples.
 pub const SAMPLE_INTERVAL: u64 = 512;
@@ -112,45 +114,30 @@ impl Obs {
             .map(|(_, ts)| ts)
     }
 
-    /// Record a packet observed at a routing site: feeds both the event
-    /// ring and the transaction tracker.
+    /// Record a packet observed at a routing site in the event ring.
     #[inline]
     pub fn on_packet(&mut self, now: Cycle, site: TraceSite, p: &Packet) {
-        if !self.on {
-            return;
-        }
-        self.events.record(now, site, p);
-        match (site, &p.kind) {
-            (TraceSite::SmEject, PacketKind::OffloadCmd { token, .. }) => {
-                self.txns.cmd_issued(*token, now)
-            }
-            (TraceSite::ToNsu, PacketKind::OffloadCmd { token, .. }) => {
-                self.txns.cmd_at_nsu(*token, now)
-            }
-            // RDF data reaches the NSU as RdfResp (DRAM reads) or as an Rdf
-            // packet carrying GPU-cached data (§7.1).
-            (TraceSite::ToNsu, PacketKind::RdfResp { token, .. })
-            | (TraceSite::ToNsu, PacketKind::Rdf { token, .. }) => {
-                self.txns.rdf_at_nsu(*token, now)
-            }
-            (TraceSite::FromNsu, PacketKind::OffloadAck { token, .. }) => {
-                self.txns.ack_emitted(*token, now)
-            }
-            (TraceSite::GpuLinkDown, PacketKind::OffloadAck { token, .. }) => {
-                self.txns.ack_delivered(*token, now)
-            }
-            _ => {}
+        if self.on {
+            self.events.record(now, site, p);
         }
     }
 
-    /// Fold the live state into a serializable report.
-    pub fn report(&self) -> ObsReport {
+    /// Record the segment latencies of transaction `t`, completed by an
+    /// ACK delivered at `delivered`.
+    pub fn txn_done(&mut self, t: &Txn, delivered: Cycle) {
+        if self.on {
+            self.txns.record(t, delivered);
+        }
+    }
+
+    /// Fold the live state into a serializable report, with the
+    /// transaction counts of the token table `tokens`.
+    pub fn report(&self, tokens: &Invariants) -> ObsReport {
         ObsReport {
             sample_interval: SAMPLE_INTERVAL,
-            txn_issued: self.txns.issued,
-            txn_completed: self.txns.completed,
-            txn_inflight: self.txns.inflight() as u64,
-            orphan_acks: self.txns.orphan_acks,
+            txn_issued: tokens.completed() + tokens.inflight(),
+            txn_completed: tokens.completed(),
+            txn_inflight: tokens.inflight(),
             latency: self
                 .txns
                 .segments()
@@ -231,7 +218,6 @@ pub struct ObsReport {
     pub txn_issued: u64,
     pub txn_completed: u64,
     pub txn_inflight: u64,
-    pub orphan_acks: u64,
     pub latency: Vec<SegmentLatency>,
     pub series: Vec<SeriesReport>,
     /// The first [`EVENT_CAP`] protocol events of the run.
@@ -257,8 +243,8 @@ impl ObsReport {
     pub fn summary_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "offload transactions: {} issued, {} completed, {} in flight, {} orphan ACKs\n",
-            self.txn_issued, self.txn_completed, self.txn_inflight, self.orphan_acks
+            "offload transactions: {} issued, {} completed, {} in flight\n",
+            self.txn_issued, self.txn_completed, self.txn_inflight
         ));
         out.push_str(&format!(
             "protocol events: {} recorded, {} dropped after the first {EVENT_CAP}\n",
@@ -296,6 +282,7 @@ impl ObsReport {
 mod tests {
     use super::*;
     use crate::ids::{Node, OffloadId, OffloadToken};
+    use crate::packet::PacketKind;
 
     fn cmd(token: u64) -> Packet {
         Packet::new(
@@ -338,42 +325,51 @@ mod tests {
         )
     }
 
+    /// One packet through both observers, as `System::observe` feeds them.
+    fn observe(o: &mut Obs, inv: &mut Invariants, now: Cycle, site: TraceSite, p: &Packet) {
+        o.on_packet(now, site, p);
+        if let Some(t) = inv.on_packet(now, site, p) {
+            o.txn_done(&t, now);
+        }
+    }
+
+    fn round_trip(o: &mut Obs, inv: &mut Invariants, token: u64) {
+        observe(o, inv, 10, TraceSite::SmEject, &cmd(token));
+        observe(o, inv, 30, TraceSite::ToNsu, &cmd(token));
+        observe(o, inv, 90, TraceSite::FromNsu, &ack(token));
+        observe(o, inv, 120, TraceSite::GpuLinkDown, &ack(token));
+    }
+
     #[test]
     fn disabled_obs_records_nothing() {
-        let mut o = Obs::new(false);
+        let (mut o, mut inv) = (Obs::new(false), Invariants::default());
         assert!(!o.is_on());
         assert!(!o.sample_due(0));
-        o.on_packet(1, TraceSite::SmEject, &cmd(1));
+        round_trip(&mut o, &mut inv, 1);
         o.offer_sample("q", 3.0);
-        assert_eq!(o.txns.issued, 0);
+        assert_eq!(o.txns.end_to_end.count(), 0);
         assert!(o.events.events().is_empty());
         assert!(o.series("q").is_none());
     }
 
     #[test]
-    fn packet_hooks_drive_transactions() {
-        let mut o = Obs::new(true);
-        o.on_packet(10, TraceSite::SmEject, &cmd(5));
-        o.on_packet(30, TraceSite::ToNsu, &cmd(5));
-        o.on_packet(90, TraceSite::FromNsu, &ack(5));
-        o.on_packet(120, TraceSite::GpuLinkDown, &ack(5));
-        assert_eq!(o.txns.issued, 1);
-        assert_eq!(o.txns.completed, 1);
+    fn completed_transactions_drive_latencies() {
+        let (mut o, mut inv) = (Obs::new(true), Invariants::default());
+        round_trip(&mut o, &mut inv, 5);
         assert_eq!(o.txns.end_to_end.max(), Some(110));
         assert_eq!(o.events.events().len(), 4);
     }
 
     #[test]
     fn report_round_trip() {
-        let mut o = Obs::new(true);
-        o.on_packet(0, TraceSite::SmEject, &cmd(1));
-        o.on_packet(64, TraceSite::GpuLinkDown, &ack(1));
+        let (mut o, mut inv) = (Obs::new(true), Invariants::default());
+        round_trip(&mut o, &mut inv, 1);
+        observe(&mut o, &mut inv, 200, TraceSite::SmEject, &cmd(2));
         o.offer_sample("sm_ndp_pending", 2.0);
         o.offer_sample("sm_ndp_pending", 5.0);
-        let r = o.report();
-        assert_eq!(r.txn_issued, 1);
-        assert_eq!(r.txn_completed, 1);
-        assert_eq!(r.segment("end_to_end").unwrap().max, 64);
+        let r = o.report(&inv);
+        assert_eq!((r.txn_issued, r.txn_completed, r.txn_inflight), (2, 1, 1));
+        assert_eq!(r.segment("end_to_end").unwrap().max, 110);
         let s = r.find_series("sm_ndp_pending").unwrap();
         assert_eq!(s.samples, vec![2.0, 5.0]);
         assert!(r.summary_text().contains("end_to_end"));

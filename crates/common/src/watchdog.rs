@@ -16,8 +16,7 @@ use serde::Serialize;
 use crate::ids::Cycle;
 
 /// Default no-progress threshold (SM cycles) before the watchdog fires.
-/// Override per run with `ndp_core::RunOptions::watchdog` (`None`
-/// disables).
+/// Override per run with `ndp_core::RunOptions::watchdog`.
 pub const DEFAULT_WATCHDOG_CYCLES: Cycle = 100_000;
 
 /// Per-edge movement record: how often and how recently packets crossed

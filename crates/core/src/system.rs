@@ -16,9 +16,7 @@ use ndp_common::obs::{Obs, TraceSite};
 use ndp_common::packet::{Packet, PacketKind};
 use ndp_common::port::{Edge, Fabric, FabricCtx, Op, Stage};
 use ndp_common::snap::{self, SnapError, SnapReader, SnapState};
-use ndp_common::watchdog::{
-    CreditBalance, QueueDepth, StallReport, Watchdog, DEFAULT_WATCHDOG_CYCLES,
-};
+use ndp_common::watchdog::{CreditBalance, QueueDepth, StallReport, Watchdog};
 use ndp_compiler::{compile, CompiledKernel, CompilerConfig};
 use ndp_energy::Activity;
 use ndp_gpu::sm::{Sm, SmConfig};
@@ -81,10 +79,11 @@ pub struct System {
     /// off unless [`RunOptions::perf`] arms it.
     /// Read-only: it never changes simulated behaviour.
     pub perf: Perf,
-    /// Protocol-invariant engine, fed from the fabric's observation site.
+    /// Protocol-invariant engine and offload-token table, fed from the
+    /// fabric's observation site.
     invariants: Invariants,
-    /// Forward-progress watchdog (`None` disables).
-    watchdog: Option<Watchdog>,
+    /// Forward-progress watchdog.
+    watchdog: Watchdog,
     /// Deterministic fault injector (`None` = no faults, the default).
     faults: Option<FaultInjector>,
     now: Cycle,
@@ -202,8 +201,8 @@ impl System {
             ctrl,
             obs: Obs::new(opts.obs),
             perf: Perf::new(opts.perf, stage_names()),
-            invariants: Invariants::new(opts.deep_invariants),
-            watchdog: opts.watchdog.map(|t| Watchdog::new(t, &Tx::NAMES)),
+            invariants: Invariants::default(),
+            watchdog: Watchdog::new(opts.watchdog, &Tx::NAMES),
             faults: opts
                 .faults
                 .filter(FaultConfig::is_active)
@@ -360,15 +359,13 @@ impl System {
                 }
                 let instrs: u64 = self.sms.iter().map(|s| s.stats.issued).sum::<u64>()
                     + self.nsus.iter().map(|n| n.instrs).sum::<u64>();
-                if let Some(w) = &mut self.watchdog {
-                    w.note_instrs(self.now, instrs);
-                    if let Some(stalled_for) = w.stalled_for(self.now) {
-                        out.stall = Some(Box::new(self.build_stall_report(stalled_for)));
-                        if let Some(dir) = &self.stall_dump {
-                            self.dump_stall_checkpoint(dir);
-                        }
-                        break;
+                self.watchdog.note_instrs(self.now, instrs);
+                if let Some(stalled_for) = self.watchdog.stalled_for(self.now) {
+                    out.stall = Some(Box::new(self.build_stall_report(stalled_for)));
+                    if let Some(dir) = &self.stall_dump {
+                        self.dump_stall_checkpoint(dir);
                     }
+                    break;
                 }
             }
             if self.now >= max_cycles {
@@ -547,7 +544,7 @@ impl System {
             memnet_powered: self.ndp_on,
         };
         if self.obs.is_on() {
-            r.obs = Some(self.obs.report());
+            r.obs = Some(self.obs.report(&self.invariants));
         }
         if self.perf.is_on() {
             let mut perf = self.perf.report(self.now);
@@ -655,11 +652,8 @@ impl System {
         StallReport {
             cycle: self.now,
             stalled_for,
-            threshold: self.watchdog.as_ref().map_or(0, |w| w.threshold()),
-            edges: self
-                .watchdog
-                .as_ref()
-                .map_or_else(Vec::new, |w| w.edges().to_vec()),
+            threshold: self.watchdog.threshold(),
+            edges: self.watchdog.edges().to_vec(),
             queues,
             credits,
             tokens,
@@ -738,10 +732,7 @@ impl System {
         w.tag(SEC_INVARIANTS);
         invariants.snap(&mut w);
         w.tag(SEC_WATCHDOG);
-        w.bool(watchdog.is_some());
-        if let Some(wd) = watchdog {
-            wd.snap(&mut w);
-        }
+        watchdog.snap(&mut w);
         w.tag(SEC_FAULTS);
         faults.snap(&mut w);
         w.tag(SEC_OBS);
@@ -763,9 +754,9 @@ impl System {
     /// [`System::snapshot`] under exactly this (config, kernel) pair.
     ///
     /// The image supplies everything that can change the `RunResult`:
-    /// machine state, and with it the fault schedule, the watchdog, the
-    /// invariant depth and the observability layer. `opts` supplies the
-    /// rest, so an image saved per-cycle can resume event-driven.
+    /// machine state, and with it the fault schedule, the watchdog and the
+    /// observability layer. `opts` supplies the rest, so an image saved
+    /// per-cycle can resume event-driven.
     ///
     /// The machine is first constructed fresh (re-deriving every
     /// config/kernel-dependent shape), then overwritten component by
@@ -832,13 +823,7 @@ impl System {
         r.tag(SEC_INVARIANTS, "invariants")?;
         self.invariants.restore(r)?;
         r.tag(SEC_WATCHDOG, "watchdog")?;
-        self.watchdog = if r.bool()? {
-            let mut wd = Watchdog::new(DEFAULT_WATCHDOG_CYCLES, &Tx::NAMES);
-            wd.restore(r)?;
-            Some(wd)
-        } else {
-            None
-        };
+        self.watchdog.restore(r)?;
         r.tag(SEC_FAULTS, "faults")?;
         self.faults.restore(r)?;
         r.tag(SEC_OBS, "obs")?;
@@ -1347,7 +1332,9 @@ impl FabricCtx for System {
 
     fn observe(&mut self, now: Cycle, site: TraceSite, p: &Packet) {
         self.obs.on_packet(now, site, p);
-        self.invariants.on_packet(now, site, p);
+        if let Some(txn) = self.invariants.on_packet(now, site, p) {
+            self.obs.txn_done(&txn, now);
+        }
     }
 
     fn fault(&self, _now: Cycle, tx: Tx, p: &Packet) -> FaultAction {
@@ -1364,9 +1351,7 @@ impl FabricCtx for System {
     }
 
     fn moved(&mut self, now: Cycle, tx: Tx) {
-        if let Some(w) = &mut self.watchdog {
-            w.note_move(now, tx.index());
-        }
+        self.watchdog.note_move(now, tx.index());
     }
 
     fn stage_done(&mut self, _now: Cycle, idx: usize, outcome: StageOutcome) {

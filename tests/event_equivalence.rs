@@ -16,8 +16,8 @@ use standardized_ndp::prelude::*;
 
 const MAX: u64 = 30_000_000;
 
-/// `w` at `scale` on `cfg`, with the environment's run options (CI's
-/// deep-invariant leg reaches the suite through them) as `tune` sets them.
+/// `w` at `scale` on `cfg`, with the environment's run options as `tune`
+/// sets them.
 fn system(cfg: SystemConfig, w: Workload, scale: &Scale, tune: impl Fn(&mut RunOptions)) -> System {
     let mut opts = RunOptions::from_env().expect("valid NDP_* environment");
     tune(&mut opts);

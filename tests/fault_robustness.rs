@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use standardized_ndp::prelude::*;
 
-/// The small program on `cfg`, with the environment's run options (CI's
-/// deep-invariant leg reaches the suite through them) as `tune` sets them.
+/// The small program on `cfg`, with the environment's run options as
+/// `tune` sets them.
 fn system(cfg: SystemConfig, tune: impl FnOnce(&mut RunOptions)) -> System {
     let mut opts = RunOptions::from_env().expect("valid NDP_* environment");
     tune(&mut opts);
@@ -43,7 +43,7 @@ fn withheld_credits_wedge_is_detected_and_named() {
     // returns stop, so the wedge (and its detection) happens early.
     cfg.nsu.cmd_entries = 2;
     let sys = system(cfg, |o| {
-        o.watchdog = Some(4_096);
+        o.watchdog = 4_096;
         o.faults = Some(FaultConfig {
             withhold_credits: true,
             ..Default::default()
@@ -91,8 +91,7 @@ fn withheld_credits_wedge_is_detected_and_named() {
 fn every_fault_schedule_ends_in_a_structured_outcome() {
     for seed in 0..8u64 {
         let sys = system(small_ndp_cfg(), |o| {
-            o.watchdog = Some(30_000);
-            o.deep_invariants = true;
+            o.watchdog = 30_000;
             o.faults = Some(FaultConfig {
                 seed,
                 drop_prob: 0.01,
@@ -131,7 +130,7 @@ fn every_fault_schedule_ends_in_a_structured_outcome() {
 fn fault_schedules_replay_exactly_from_their_seed() {
     let run_once = || {
         let sys = system(small_ndp_cfg(), |o| {
-            o.watchdog = Some(30_000);
+            o.watchdog = 30_000;
             o.faults = Some(FaultConfig {
                 seed: 3,
                 drop_prob: 0.005,
@@ -156,32 +155,27 @@ fn fault_schedules_replay_exactly_from_their_seed() {
     }
 }
 
-/// With deep invariant checking and the watchdog armed but **no** faults,
-/// a healthy run completes exactly as before: no stall report, no
-/// violations, and the protocol counters balance at drain.
+/// With the watchdog at a tight threshold but **no** faults, a healthy
+/// run completes exactly as before: no stall report, no violations, no
+/// offload token left in flight, and the protocol counters balance at
+/// drain.
 #[test]
 fn clean_run_passes_deep_invariants_with_watchdog_armed() {
-    let sys = system(small_ndp_cfg(), |o| {
-        o.watchdog = Some(10_000);
-        o.deep_invariants = true;
-    });
+    let sys = system(small_ndp_cfg(), |o| o.watchdog = 10_000);
     let r = sys.run(2_000_000).expect("clean run violates nothing");
     assert!(!r.timed_out, "healthy machine must drain");
     assert!(r.stall.is_none(), "no stall report on a clean run");
     assert!(r.offloaded > 0, "NDP path exercised");
 }
 
-/// Baseline (no NDP traffic) also stays clean under deep checks — the
-/// invariant engine must not demand NDP counters from a machine that never
-/// offloads.
+/// Baseline (no NDP traffic) also stays clean under the token checks —
+/// the invariant engine must not demand NDP counters from a machine that
+/// never offloads.
 #[test]
 fn baseline_run_is_clean_under_deep_invariants() {
     let mut cfg = SystemConfig::baseline();
     cfg.gpu.num_sms = 8;
-    let sys = system(cfg, |o| {
-        o.watchdog = Some(10_000);
-        o.deep_invariants = true;
-    });
+    let sys = system(cfg, |o| o.watchdog = 10_000);
     let r = sys.run(2_000_000).expect("baseline violates nothing");
     assert!(!r.timed_out);
     assert!(r.stall.is_none());

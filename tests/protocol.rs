@@ -126,7 +126,8 @@ fn ro_cache_reduces_bprop_link_traffic() {
 fn every_offload_cmd_gets_exactly_one_ack() {
     // §4.1 protocol completeness, checked through the observability layer:
     // each block instance's CMD must come back as exactly one ACK — no
-    // transaction still in flight after drain, no ACK without a CMD.
+    // transaction still in flight after drain. An ACK without a CMD is an
+    // invariant violation, which fails the run itself.
     let mut cfg = SystemConfig::naive_ndp();
     cfg.gpu.num_sms = 8;
     let p = Workload::Vadd.build(&Scale {
@@ -145,7 +146,6 @@ fn every_offload_cmd_gets_exactly_one_ack() {
     assert_eq!(obs.txn_issued, r.offloaded, "one tracked txn per offload");
     assert_eq!(obs.txn_completed, obs.txn_issued, "every CMD acked");
     assert_eq!(obs.txn_inflight, 0, "nothing in flight after drain");
-    assert_eq!(obs.orphan_acks, 0, "no ACK without a matching CMD");
     let e2e = obs.segment("end_to_end").expect("histogram present");
     assert_eq!(e2e.count, obs.txn_completed);
     assert!(e2e.p50 > 0, "round trips take nonzero cycles");
