@@ -46,8 +46,17 @@ pub fn harness_epoch() -> u64 {
     epoch_from(process_env)
 }
 
+/// The shortest epoch a harness run accepts: Algorithm 1 divides by the
+/// epoch, and `figures ablate` also runs a quarter of it.
+const MIN_EPOCH: u64 = 4;
+
 fn epoch_from(get: Lookup) -> u64 {
-    or_die(env::parse(get, "NDP_EPOCH"), 30_000)
+    let epoch = or_die(env::parse(get, "NDP_EPOCH"), 30_000);
+    assert!(
+        epoch >= MIN_EPOCH,
+        "NDP_EPOCH: {epoch} cycles is below the minimum of {MIN_EPOCH}"
+    );
+    epoch
 }
 
 fn scale_from(get: Lookup) -> Scale {
@@ -84,5 +93,11 @@ mod tests {
     #[should_panic(expected = "NDP_WARPS")]
     fn malformed_harness_variable_is_fatal() {
         scale_from(|_| Some("96k".into()));
+    }
+
+    #[test]
+    #[should_panic(expected = "NDP_EPOCH: 3 cycles is below the minimum of 4")]
+    fn epoch_below_four_is_fatal() {
+        epoch_from(|_| Some("3".into()));
     }
 }
